@@ -40,7 +40,6 @@ from .indepcache import (
     DEFAULT_TABLE_CAP,
     IndependenceTable,
     build_independence_table,
-    build_pair_table,
     independent_sets,
 )
 
@@ -88,13 +87,11 @@ class ExtensionTask:
     d_min: int = 0              # minimum degree of outputs
     delta_max: Optional[int] = None   # maximum degree; None means k
     regular: bool = False       # force d-regular outputs
-    pair_table: Optional[tuple] = None    # (s, t) pair-table activation
     filters: tuple = ()         # structural rules outputs must satisfy
     prune_pair: bool = True
     prune_forbidden: bool = True
     prune_ascending: bool = True
     prune_edge_bound: bool = True
-    prune_weak_forbidden: bool = False  # usually too weak to pay for itself
     prune_automorphic: bool = True      # skip non-minimal orbit prefixes
     prune_union: bool = True            # full-union independence bound
     indep_mode: str = "auto"    # auto | table | lazy
@@ -165,11 +162,8 @@ def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict
     orders = [s.bit_count() for s in sets]
 
     table = None
-    ptable = None
     if _use_table(task, m):
         table = build_independence_table(H, k, max(d, 2), task.table_cap)
-        if task.pair_table and task.pair_table[1] == k - 1:
-            ptable = build_pair_table(H, task.pair_table[0], k - 1)
 
     adj = H.adj
     full = (1 << m) - 1
@@ -228,11 +222,7 @@ def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict
         key = (a, b) if a <= b else (b, a)
         v = pair_cache.get(key)
         if v is None:
-            sa, sb = sets[a], sets[b]
-            if ptable is not None and sa in ptable.index and sb in ptable.index:
-                v = not ptable.entry(sa, sb)
-            else:
-                v = not alpha_ge(full & ~(sa | sb), k - 1)
+            v = not alpha_ge(full & ~(sets[a] | sets[b]), k - 1)
             pair_cache[key] = v
         return v
 
@@ -279,10 +269,6 @@ def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict
             new_prefix = tuple(sorted(prefix + (idx,)))
             if not prefix_minimal(new_prefix):
                 continue
-            if task.prune_weak_forbidden and new_forbidden:
-                if _alpha(adj, new_forbidden, k + 1 - (remaining - 1))[0] >= \
-                        k + 1 - (remaining - 1):
-                    continue
             # the next neighbor may reuse this set, so the child list keeps
             # the current position when assigning in ascending order
             base_list = eligible[pos:] if task.prune_ascending else eligible

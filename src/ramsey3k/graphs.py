@@ -19,7 +19,13 @@ class GraphFormatError(ValueError):
 
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
+
+    def __reduce__(self):
+        # rebuilt from the constructor arguments when a worker process
+        # hands the error back
+        return type(self), (self.message, self.offset)
 
 
 class CapacityError(RuntimeError):
@@ -38,6 +44,11 @@ class MembershipError(ValueError):
         super().__init__(message)
         self.witness_kind = witness_kind
         self.witness = witness
+
+    def __reduce__(self):
+        # a worker process hands the error back pickled; without this the
+        # pool cannot rebuild it and waits forever
+        return type(self), (str(self), self.witness_kind, self.witness)
 
 
 class Graph:
@@ -317,22 +328,6 @@ def is_triangle_free(g: Graph) -> bool:
     return True
 
 
-def _greedy_bound(adj, cand: int) -> int:
-    # size of cand minus a greedy matching inside cand; in a triangle-free
-    # graph every clique is an edge, so this is a clique-cover bound on alpha
-    count = cand.bit_count()
-    pairs = 0
-    m = cand
-    while m:
-        vbit = m & -m
-        m ^= vbit
-        nb = adj[(vbit.bit_length() - 1)] & m
-        if nb:
-            m ^= nb & -nb
-            pairs += 1
-    return count - pairs
-
-
 def independence_number(g: Graph, stop_at: Optional[int] = None) -> int:
     """alpha(g) by branch and bound on bitsets.
 
@@ -346,7 +341,6 @@ def _alpha(adj, full: int, stop_at: Optional[int]):
     """Return (alpha-or-early-exit-value, witness bitmask)."""
     best = 0
     best_set = 0
-    limit = stop_at if stop_at is not None else None
     # iterative DFS with explicit stack: (candidates, chosen_mask, chosen_size)
     stack = [(full, 0, 0)]
     while stack:
@@ -376,7 +370,7 @@ def _alpha(adj, full: int, stop_at: Optional[int]):
             # candidates are pairwise independent
             best = size + count
             best_set = chosen | cand
-            if limit is not None and best >= limit:
+            if stop_at is not None and best >= stop_at:
                 return best, best_set
             continue
         vbit = 1 << pick
@@ -424,14 +418,6 @@ def validate_member(g: Graph, k: int) -> ClassParams:
             f"independent set of order {k}", "independent-set", m)
     assert g.max_degree() < k
     return ClassParams(k, g.n, g.edge_count())
-
-
-def is_member(g: Graph, k: int) -> bool:
-    try:
-        validate_member(g, k)
-        return True
-    except MembershipError:
-        return False
 
 
 # ---------------------------------------------------------------------------

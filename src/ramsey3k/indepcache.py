@@ -9,7 +9,7 @@ filled by a larger order, so each cell is written at most once.
 
 from __future__ import annotations
 
-from .graphs import Graph, CapacityError, _alpha
+from .graphs import Graph, CapacityError
 
 DEFAULT_TABLE_CAP = 28  # 2^28 one-byte cells = 256 MiB
 
@@ -100,49 +100,3 @@ def build_independence_table(
                         cells[y] = j
                         stack.append(y)
     return IndependenceTable(base, band_low, band_high, cells)
-
-
-class PairComplementTable:
-    """For pairs of order-s independent sets: does the rest of the base
-    graph contain an independent set of order >= t?
-
-    Sets are indexed by discovery order of the deterministic enumeration;
-    diagonal pairs are included.
-    """
-
-    __slots__ = ("base", "set_order", "target", "sets", "index", "entries")
-
-    def __init__(self, base: Graph, set_order: int, target: int,
-                 sets: list, entries: set):
-        self.base = base
-        self.set_order = set_order
-        self.target = target
-        self.sets = sets
-        self.index = {s: i for i, s in enumerate(sets)}
-        self.entries = entries
-
-    def entry(self, si: int, sj: int) -> bool:
-        """Lookup by set bitmasks (order irrelevant)."""
-        i = self.index[si]
-        j = self.index[sj]
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.entries
-
-    def entry_by_index(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.entries
-
-
-def build_pair_table(base: Graph, s: int, t: int) -> PairComplementTable:
-    sets = independent_sets(base, s, s)
-    full = (1 << base.n) - 1
-    adj = base.adj
-    entries = set()
-    for i, si in enumerate(sets):
-        for j in range(i, len(sets)):
-            rest = full & ~(si | sets[j])
-            if _alpha(adj, rest, t)[0] >= t:
-                entries.add((i, j))
-    return PairComplementTable(base, s, t, sets, entries)

@@ -11,6 +11,7 @@ is byte-identical regardless of worker count or interruption points.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import os
@@ -154,7 +155,9 @@ def _run_shard(args) -> list:
     out: dict = {}
     for line in lines:
         h = decode_graph6(line)
-        for form in glue_extend(h, task):
+        # membership is defined for k >= 2; the k=1 base class holds only
+        # the vertexless graph
+        for form in glue_extend(h, task, check_input=task.k >= 2):
             out[form] = None
     return sorted(out)
 
@@ -197,18 +200,14 @@ def run_manifest(
         if (degree, idx) not in manifest.done
         or not os.path.exists(_part_path(parts_dir, degree, idx))
     ]
-    nworkers = worker_count(workers)
-    if nworkers > 1 and len(pending) > 1:
-        with multiprocessing.Pool(nworkers) as pool:
-            results = pool.map(
-                _run_shard,
-                [(chunk, degree, manifest_fields) for degree, idx, chunk in pending])
+    nworkers = min(worker_count(workers), len(pending))
+    jobs = [(chunk, degree, manifest_fields) for degree, _, chunk in pending]
+    # each shard's part and ledger line land as soon as it returns, so an
+    # interrupted run keeps every finished shard
+    with (multiprocessing.Pool(nworkers) if nworkers > 1
+          else contextlib.nullcontext()) as pool:
+        results = pool.imap(_run_shard, jobs) if pool else map(_run_shard, jobs)
         for (degree, idx, _), lines in zip(pending, results):
-            _write_part(parts_dir, degree, idx, lines)
-            manifest.append_done(manifest_path, degree, idx)
-    else:
-        for degree, idx, chunk in pending:
-            lines = _run_shard((chunk, degree, manifest_fields))
             _write_part(parts_dir, degree, idx, lines)
             manifest.append_done(manifest_path, degree, idx)
 
@@ -256,26 +255,18 @@ class Bootstrap:
 
     Values are found by probing: generate at the solver lower bound, and
     raise the ceiling until the class is realized.  Everything is memoized
-    on disk under ``root``.
+    on disk under ``root``.  Each level is glued by ``run_manifest`` from a
+    ``<store>.manifest`` written next to its store, on ``worker_count()``
+    processes.
     """
 
-    def __init__(self, root: str, glue_options: Optional[dict] = None,
-                 verbose: bool = False):
+    def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.table = EdgeBoundTable()
         self.table.set(1, 0, BoundEntry(EXACT, 0, "derived"))
         self.table.set(1, 1, BoundEntry(INFINITE, provenance="derived"))
         self._stores: dict = {}
-        self.glue_options = glue_options or {}
-        self.verbose = verbose
-
-    def _log(self, message: str) -> None:
-        if self.verbose:
-            import sys
-            import time as _time
-            print(f"[bootstrap {_time.strftime('%H:%M:%S')}] {message}",
-                  file=sys.stderr, flush=True)
 
     # -- values ---------------------------------------------------------
 
@@ -331,18 +322,19 @@ class Bootstrap:
             if st.complete:
                 self._stores[(k, n, e_cap)] = st
                 return st
-        st = self._generate(k, n, e_cap)
-        st.write(path)
+        st = self._generate(k, n, e_cap, path)
         self._stores[(k, n, e_cap)] = st
         return st
 
-    def _generate(self, k: int, n: int, e_cap: int) -> GraphStore:
+    def _generate(self, k: int, n: int, e_cap: int, path: str) -> GraphStore:
+        """Build the store and write it to ``path``."""
         if k == 1 or n == 0:
             # the extension engines reconstruct graphs through a vertex, so
             # the vertexless base case is seeded directly
             st = GraphStore(k, n, 0, e_cap, complete=True, certificate="base")
             if n == 0:
                 st.add(Graph.empty(0))
+            st.write(path)
             return st
         # ensure the level below is valued over the degree window
         for i in range(0, min(k, n)):
@@ -352,23 +344,23 @@ class Bootstrap:
         check = closure_sufficiency_check(k, n, e_cap, plan, self.table)
         if not check.certified:
             raise RuntimeError(f"plan for ({k};{n},<={e_cap}) failed its certificate")
-        self._log(f"({k};{n},<={e_cap}) plan increments "
-                  + str({r.degree: r.increment for r in plan.rows}))
-        store = GraphStore(k, n, 0, e_cap, complete=True,
-                           certificate=_plan_hash(plan))
+        inputs = []
         for row in sorted(plan.rows, key=lambda r: r.degree):
             if row.increment <= 0:
                 continue  # input window below the class minimum: empty
-            inputs = self.store(k - 1, row.m, row.ceiling)
-            task = ExtensionTask(k=k - 1, d=row.degree, e_max=e_cap,
-                                 **self.glue_options)
-            self._log(f"({k};{n},<={e_cap}) gluing degree {row.degree}: "
-                      f"{len(inputs)} inputs from ({k - 1};{row.m},<={row.ceiling})")
-            for h in inputs.graphs():
-                for form, g in glue_extend(h, task, check_input=False).items():
-                    store.add(g, form)
-        self._log(f"({k};{n},<={e_cap}) done: {len(store)} graphs")
-        return store
+            box = (k - 1, row.m, row.ceiling)
+            st = self.store(*box)
+            if box not in self._stores:
+                # served as a restriction of a larger store, so it has no
+                # file of its own yet
+                st.write(self.store_path(*box))
+            inputs.append((row.degree, self.store_path(*box)))
+        # a fresh ledger every time: parts left in the root by an earlier
+        # run are recomputed, never trusted
+        manifest = JobManifest(target_k=k, n=n, e_max=e_cap, inputs=inputs,
+                               plan=plan, certified=True)
+        manifest.write(path + ".manifest")
+        return run_manifest(path + ".manifest", path)
 
     def _cost_model(self, k_in: int):
         def cost(m: int, edge_cap: int, base: int) -> float:
@@ -390,13 +382,6 @@ class Bootstrap:
 # ---------------------------------------------------------------------------
 # Table rendering
 # ---------------------------------------------------------------------------
-
-def emit_count_table(store: GraphStore) -> str:
-    """Edge-count histogram table: rows are edge counts, one column per
-    order, blank cells for zero."""
-    from .store import render_count_table
-    return render_count_table({(store.n, e): c for e, c in store.counts().items()})
-
 
 def emit_bound_table(table: EdgeBoundTable, k: int, n_from: int, n_to: int) -> str:
     """Two-column text table of the level's bounds with kind annotations."""

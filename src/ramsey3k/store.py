@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Iterable, Optional
+from typing import Optional
 
 from .canon import canonical_form
 from .graphs import Graph, decode_graph6, validate_member
@@ -66,16 +66,6 @@ class GraphStore:
             return False
         self._graphs[form] = g
         return True
-
-    def add_all(self, items: Iterable, check: bool = False) -> int:
-        added = 0
-        for item in items:
-            if isinstance(item, tuple):
-                form, g = item
-                added += self.add(g, form, check=check)
-            else:
-                added += self.add(item, check=check)
-        return added
 
     def counts(self) -> dict:
         hist: dict = {}
@@ -158,6 +148,9 @@ class GraphStore:
                 store.add(g, check=check and store.k >= 2)
         if "total" in meta and int(meta["total"]) != len(store):
             raise StoreError(f"{path}: meta total {meta['total']} != {len(store)}")
+        if "hash" in meta and meta["hash"] != store.content_hash():
+            raise StoreError(
+                f"{path}: meta hash {meta['hash']} != {store.content_hash()}")
         return store
 
 

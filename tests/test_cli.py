@@ -112,8 +112,8 @@ def test_unknown_prune_rule(tmp_path):
 
 
 def test_extend_runs_manifest(tmp_path):
-    from test_pipeline import c5_manifest
-    path = c5_manifest(tmp_path)
+    from test_pipeline import oracle_manifest
+    path = oracle_manifest(tmp_path)
     out = str(tmp_path / "out.g6")
     assert main(["extend", "--manifest", path, "--out", out,
                  "--workers", "1"]) == 0

@@ -16,7 +16,6 @@ from ramsey3k.graphs import (
     CapacityError,
     ClassParams,
     Graph,
-    circulant,
     local_subgraph,
     validate_member,
 )
@@ -82,18 +81,6 @@ class TestGlueExtend:
         assert list(res) == [canonical_form(cycle(5))]
         for g in res.values():
             assert all(g.degree(v) == 2 for v in range(g.n))
-
-    def test_pair_table_mode_matches(self):
-        h = circulant(13, {1, 5})
-        base = ExtensionTask(k=5, d=4, e_max=30, d_min=4, indep_mode="table")
-        with_pt = dataclasses.replace(base, pair_table=(4, 4))
-        assert set(glue_extend(h, base)) == set(glue_extend(h, with_pt))
-
-    def test_weak_forbidden_rule_neutral(self):
-        base = ExtensionTask(k=4, d=3, e_max=13)
-        on = dataclasses.replace(base, prune_weak_forbidden=True)
-        for h in brute_force_graphs(6, 4, 7).values():
-            assert set(glue_extend(h, base)) == set(glue_extend(h, on))
 
 
 class TestPruningNeutrality:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from ramsey3k.graphs import (
@@ -142,6 +144,17 @@ class TestMembership:
     def test_circulant_13(self):
         g = circulant(13, {1, 5})
         assert validate_member(g, 5) == ClassParams(5, 13, 26)
+
+    def test_errors_survive_pickling(self):
+        # worker processes hand errors back pickled
+        err = pickle.loads(pickle.dumps(
+            MembershipError("triangle (0, 1, 2)", "triangle", (0, 1, 2))))
+        assert isinstance(err, MembershipError)
+        assert (str(err), err.witness_kind, err.witness) == \
+            ("triangle (0, 1, 2)", "triangle", (0, 1, 2))
+        err = pickle.loads(pickle.dumps(GraphFormatError("bad byte", 3)))
+        assert isinstance(err, GraphFormatError)
+        assert (str(err), err.offset) == ("bad byte (offset 3)", 3)
 
 
 class TestLocalStructure:

@@ -6,7 +6,6 @@ from ramsey3k.graphs import CapacityError, Graph, independence_number
 from ramsey3k.indepcache import (
     IndependenceTable,
     build_independence_table,
-    build_pair_table,
     independent_sets,
 )
 
@@ -88,38 +87,3 @@ class TestIndependenceTable:
         t1 = build_independence_table(g, k, min(3, k - 1))
         t2 = build_independence_table(g, k, min(3, k - 1))
         assert bytes(t1.cells) == bytes(t2.cells)
-
-
-class TestPairTable:
-    def test_c5_t2(self):
-        t = build_pair_table(cycle(5), 2, 2)
-        assert t.entry(0b00101, 0b00101) is True  # rest {1,3,4} holds {1,3}
-
-    def test_c5_t3(self):
-        t = build_pair_table(cycle(5), 2, 3)
-        assert not t.entries  # alpha(C5) = 2
-
-    def test_circulant13(self):
-        # the 4-regular circulant on 13 vertices has 39 independent 4-sets;
-        # brute force says most pairs leave yet another independent 4-set
-        # behind (disjoint independent sets do not merge, so the alpha bound
-        # does not forbid this)
-        from ramsey3k.graphs import circulant, independence_number
-        g = circulant(13, {1, 5})
-        t = build_pair_table(g, 4, 4)
-        assert len(t.sets) == 39
-        assert len(t.entries) == 611
-        full = (1 << 13) - 1
-        for (i, j) in list(sorted(t.entries))[:25]:
-            rest = full & ~(t.sets[i] | t.sets[j])
-            assert independence_number(g.induced(rest)) >= 4
-
-    def test_matches_direct_computation(self, rng):
-        g = random_triangle_free(8, 0.3, rng)
-        t = build_pair_table(g, 2, 2)
-        sets2 = independent_sets(g, 2, 2)
-        full = (1 << 8) - 1
-        for i, a in enumerate(sets2):
-            for b in sets2[i:]:
-                direct = brute_alpha_subset(g, full & ~(a | b)) >= 2
-                assert t.entry(a, b) == direct

@@ -6,7 +6,7 @@ import pytest
 from ramsey3k import data
 from ramsey3k.canon import canonical_form
 from ramsey3k.degseq import EXACT, INFINITE, plan_closure
-from ramsey3k.graphs import Graph, encode_graph6
+from ramsey3k.graphs import Graph, GraphFormatError, encode_graph6
 from ramsey3k.oracle import brute_force_graphs
 from ramsey3k.pipeline import (
     Bootstrap,
@@ -29,19 +29,14 @@ def write_inputs(tmp_path, name, graphs):
     return path
 
 
-def c5_manifest(tmp_path, shard_size=10_000):
-    table = data.builtin_table(10)
-    plan = plan_closure(3, 5, 5, table)
-    k2_path = write_inputs(tmp_path, "k2.g6", [Graph.from_edges(2, [(0, 1)])])
-    inputs = []
-    for row in plan.rows:
-        if row.increment > 0 and row.m == 2:
-            inputs.append((row.degree, k2_path))
-        elif row.increment > 0:
-            inputs.append((row.degree, write_inputs(
-                tmp_path, f"d{row.degree}.g6",
-                brute_force_graphs(row.m, 2, row.ceiling).values())))
-    manifest = JobManifest(target_k=3, n=5, e_max=5, shard_size=shard_size,
+def oracle_manifest(tmp_path, k=3, n=5, e=5, shard_size=10_000):
+    """Certified manifest for the (k; n, <=e) box with oracle inputs."""
+    plan = plan_closure(k, n, e, data.builtin_table(10))
+    inputs = [(row.degree, write_inputs(
+        tmp_path, f"d{row.degree}.g6",
+        brute_force_graphs(row.m, k - 1, row.ceiling).values()))
+        for row in plan.rows if row.increment > 0]
+    manifest = JobManifest(target_k=k, n=n, e_max=e, shard_size=shard_size,
                            inputs=inputs, plan=plan, certified=True)
     path = str(tmp_path / "job.manifest")
     manifest.write(path)
@@ -50,20 +45,20 @@ def c5_manifest(tmp_path, shard_size=10_000):
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
-        path = c5_manifest(tmp_path)
+        path = oracle_manifest(tmp_path)
         m = JobManifest.read(path)
         assert (m.target_k, m.n, m.e_max, m.certified) == (3, 5, 5, True)
         assert m.plan is not None and len(m.plan.rows) >= 1
 
     def test_run_produces_c5(self, tmp_path):
-        path = c5_manifest(tmp_path)
+        path = oracle_manifest(tmp_path)
         out = str(tmp_path / "out.g6")
         store = run_manifest(path, out)
         assert store.complete
         assert canonical_form(cycle(5)) in store.forms()
 
     def test_rerun_is_noop_and_identical(self, tmp_path):
-        path = c5_manifest(tmp_path)
+        path = oracle_manifest(tmp_path)
         out = str(tmp_path / "out.g6")
         run_manifest(path, out)
         first = open(out).read()
@@ -73,7 +68,7 @@ class TestManifest:
         assert open(out + ".meta").read() == first_meta
 
     def test_resume_after_interruption(self, tmp_path):
-        path = c5_manifest(tmp_path, shard_size=1)
+        path = oracle_manifest(tmp_path, shard_size=1)
         out = str(tmp_path / "out.g6")
         full = run_manifest(path, out).forms()
         # simulate an interrupted run: drop the ledger and one part file
@@ -92,7 +87,7 @@ class TestManifest:
         assert worker_count(2) == 2
 
     def test_workers_two_identical(self, tmp_path):
-        path = c5_manifest(tmp_path, shard_size=1)
+        path = oracle_manifest(tmp_path, shard_size=1)
         out1 = str(tmp_path / "a.g6")
         out2 = str(tmp_path / "b.g6")
         run_manifest(path, out1, workers=1)
@@ -103,8 +98,35 @@ class TestManifest:
         run_manifest(path, out2, workers=2)
         assert open(out1).read() == open(out2).read()
 
+    def test_parallel_failure_keeps_finished_shards(self, tmp_path):
+        path = oracle_manifest(tmp_path, 4, 7, 9, shard_size=1)
+        inputs = JobManifest.read(path).inputs
+        finished = {(degree, idx) for degree, p in inputs
+                    for idx in range(max(1, len(open(p).readlines())))}
+        last = inputs[-1][1]
+        good = open(last).read()
+        with open(last, "a") as fh:
+            fh.write("A~\n")  # nonzero padding bits
+        out = str(tmp_path / "out.g6")
+        with pytest.raises(GraphFormatError):
+            run_manifest(path, out, workers=2)
+        assert len(finished) >= 3
+        assert JobManifest.read(path).done == finished
+        assert sorted(os.listdir(out + ".parts")) == sorted(
+            f"d{degree}_s{idx}.g6" for degree, idx in finished)
+        with open(last, "w") as fh:
+            fh.write(good)
+        run_manifest(path, out, workers=2)
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        run_manifest(oracle_manifest(serial, 4, 7, 9, shard_size=1),
+                     str(serial / "out.g6"), workers=1)
+        for suffix in ("", ".meta"):
+            assert open(out + suffix).read() == \
+                open(str(serial / "out.g6") + suffix).read()
+
     def test_uncertified_refused(self, tmp_path):
-        path = c5_manifest(tmp_path)
+        path = oracle_manifest(tmp_path)
         m = JobManifest.read(path)
         m.certified = False
         m.write(path)
@@ -113,7 +135,7 @@ class TestManifest:
         run_manifest(path, str(tmp_path / "x.g6"), allow_partial=True)
 
     def test_missing_input(self, tmp_path):
-        path = c5_manifest(tmp_path)
+        path = oracle_manifest(tmp_path)
         m = JobManifest.read(path)
         m.inputs = [(2, str(tmp_path / "nope.g6"))]
         m.write(path)
@@ -142,6 +164,40 @@ class TestBootstrap:
         bs2 = Bootstrap(root)
         st2 = bs2.store(3, 5, 5)
         assert st2.forms() == st.forms()
+
+    def test_workers_do_not_change_store(self, tmp_path, monkeypatch):
+        written = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("RAMSEY_WORKERS", workers)
+            bs = Bootstrap(str(tmp_path / f"w{workers}"))
+            bs.store(4, 7, 9)
+            path = bs.store_path(4, 7, 9)
+            assert len(JobManifest.read(path + ".manifest").inputs) >= 2
+            written.append([open(path + s).read() for s in ("", ".meta")])
+        assert written[0] == written[1]
+
+    def test_restricted_input_gets_own_file(self, tmp_path):
+        bs = Bootstrap(str(tmp_path / "bs"))
+        bs.store(3, 4, 6)
+        # (4;7,<=9) glues onto (3;4,<=3), served from the larger store
+        st = bs.store(4, 7, 9)
+        assert os.path.exists(bs.store_path(3, 4, 3))
+        assert st.forms() == set(brute_force_graphs(7, 4, 9))
+
+    def test_stale_parts_not_trusted(self, tmp_path):
+        bs = Bootstrap(str(tmp_path / "bs"))
+        path = bs.store_path(4, 8, 12)
+        bogus = canonical_form(Graph.empty(8))
+        os.makedirs(path + ".parts")
+        for degree in range(4):
+            with open(os.path.join(path + ".parts", f"d{degree}_s0.g6"), "w") as fh:
+                fh.write(bogus + "\n")
+        JobManifest(target_k=4, n=8, e_max=12,
+                    done={(degree, 0) for degree in range(4)}).write(
+                        path + ".manifest")
+        st = bs.store(4, 8, 12)
+        assert st.forms() == set(brute_force_graphs(8, 4, 12))
+        assert bogus not in open(path).read().split()
 
 
 class TestEmitBoundTable:

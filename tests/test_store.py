@@ -73,6 +73,22 @@ class TestGraphStore:
         with pytest.raises(StoreError):
             GraphStore.read(path)
 
+    def test_swapped_member_detected(self, tmp_path):
+        # another valid member of the same box, so only the hash can tell
+        members = brute_force_graphs(8, 4, 12)
+        outsider, *kept = sorted(members)
+        store = GraphStore(4, 8, e_max=12)
+        for form in kept:
+            store.add(members[form], form)
+        path = str(tmp_path / "s.g6")
+        store.write(path)
+        lines = open(path).read().splitlines()
+        lines[-1] = outsider
+        with open(path, "w") as fh:
+            fh.write("\n".join(sorted(lines)) + "\n")
+        with pytest.raises(StoreError):
+            GraphStore.read(path)
+
 
 class TestRenderCountTable:
     def test_shape(self):
