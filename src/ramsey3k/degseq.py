@@ -26,6 +26,7 @@ LOWER = "lower"
 INFINITE = "infinite"
 
 _INF_SENTINEL = 1 << 60
+PLAN_MAX_ROUNDS = 10000  # greedy increment rounds before plan_closure gives up
 
 
 class MissingBoundError(KeyError):
@@ -444,6 +445,18 @@ class ClosureCheck:
         return self.survivors[0] if self.survivors else None
 
 
+def _feasible_rows(k_plus_1: int, n: int, table: EdgeBoundTable) -> list:
+    """(degree i, m = n-i-1, e(3,k,m)) for every degree whose local
+    subgraph order has a finite edge bound."""
+    k = k_plus_1 - 1
+    rows = []
+    for i in range(0, min(k_plus_1, n)):
+        entry = table.entry(k, n - i - 1)
+        if entry.kind != INFINITE:
+            rows.append((i, n - i - 1, entry.value))
+    return rows
+
+
 def closure_sufficiency_check(
     k_plus_1: int,
     n: int,
@@ -459,15 +472,7 @@ def closure_sufficiency_check(
     would then solve the system with the incremented bounds.  No solution
     at any edge count up to e means no graph is missed.
     """
-    k = k_plus_1 - 1
-    feasible = []
-    for i in range(0, k_plus_1):
-        m = n - i - 1
-        if m < 0:
-            continue
-        entry = table.entry(k, m)
-        if entry.kind != INFINITE:
-            feasible.append((i, m, entry.value))
+    feasible = _feasible_rows(k_plus_1, n, table)
     plan_rows = {r.degree: r for r in plan.rows}
     extra = {}
     for i, m, base in feasible:
@@ -498,7 +503,6 @@ def plan_closure(
     e: int,
     table: EdgeBoundTable,
     cost_model: Optional[Callable] = None,
-    max_rounds: int = 10000,
 ) -> ClosurePlan:
     """Greedy increment selection until the closure certificate holds.
 
@@ -508,15 +512,7 @@ def plan_closure(
     """
     if cost_model is None:
         cost_model = default_cost_model
-    k = k_plus_1 - 1
-    feasible = []
-    for i in range(0, k_plus_1):
-        m = n - i - 1
-        if m < 0:
-            continue
-        entry = table.entry(k, m)
-        if entry.kind != INFINITE:
-            feasible.append((i, m, entry.value))
+    feasible = _feasible_rows(k_plus_1, n, table)
     t = {i: 0 for i, _, _ in feasible}
     avg = 2.0 * e / n if n else 0.0
     info = {i: (m, base) for i, m, base in feasible}
@@ -527,7 +523,7 @@ def plan_closure(
             plan.rows.append(PlanRow(i, m, base, t[i], base + t[i] - 1))
         return plan
 
-    for _ in range(max_rounds):
+    for _ in range(PLAN_MAX_ROUNDS):
         check = closure_sufficiency_check(k_plus_1, n, e, build_plan(), table)
         if check.certified:
             return build_plan()
@@ -550,7 +546,7 @@ def plan_closure(
         if best is None:
             raise RuntimeError("no finite plan: survivors use no positive count")
         t[best[1]] += 1
-    raise RuntimeError(f"no certified plan within {max_rounds} rounds")
+    raise RuntimeError(f"no certified plan within {PLAN_MAX_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +557,6 @@ def propagate_bounds(
     k_from: int,
     k_to: int,
     seed: EdgeBoundTable,
-    keep_seed: bool = True,
 ) -> EdgeBoundTable:
     """Fill levels k_from..k_to from the level below each.
 
@@ -578,7 +573,7 @@ def propagate_bounds(
         n = 0
         exact_top = closed_form_max_n(k)
         while True:
-            if result.has(k, n) and keep_seed:
+            if result.has(k, n):
                 if result.is_infinite(k, n):
                     break
                 n += 1

@@ -6,7 +6,7 @@ degree d: each neighbor u_i of v is joined to an independent set S_i of H.
 The expanded graph is triangle-free by construction (the S_i are
 independent and the u_i are pairwise non-adjacent), so the search is only
 about keeping the independence number below k+1 while meeting the edge and
-degree windows.  Four prunings cut the recursion:
+degree windows.  Six prunings cut the recursion:
 
   * pair test      -- candidate S against each assigned S_j: if the rest of
                       H still holds an independent set of order k-1, the
@@ -17,16 +17,25 @@ degree windows.  Four prunings cut the recursion:
                       position, which both removes permuted duplicates and
                       makes small sets fail early;
   * edge bound     -- e(H) + d + sum|S_j| + |S|*(d-i) already exceeding the
-                      edge cap kills the branch.
+                      edge cap kills the branch;
+  * automorphic    -- only the lexicographically smallest assignment of
+                      each orbit under Aut(H) is explored;
+  * full union     -- an independent (k-i)-set of H outside all i assigned
+                      sets already forces an independent (k+1)-set.
 
 Disabling any of them must not change the output set; the test suite holds
 the engine to that.
+
+Every independence question is "does H minus a union of assigned sets hold
+an independent r-set?"  It is answered from the subset table when d >= 2
+and H has at most TABLE_MAX_ORDER vertices, and by branch and bound
+otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .canon import canonical_form, canonical_with_automorphisms
 from .graphs import (
@@ -37,8 +46,7 @@ from .graphs import (
     validate_member,
 )
 from .indepcache import (
-    DEFAULT_TABLE_CAP,
-    IndependenceTable,
+    TABLE_MAX_ORDER,
     build_independence_table,
     independent_sets,
 )
@@ -87,15 +95,12 @@ class ExtensionTask:
     d_min: int = 0              # minimum degree of outputs
     delta_max: Optional[int] = None   # maximum degree; None means k
     regular: bool = False       # force d-regular outputs
-    filters: tuple = ()         # structural rules outputs must satisfy
     prune_pair: bool = True
     prune_forbidden: bool = True
     prune_ascending: bool = True
     prune_edge_bound: bool = True
     prune_automorphic: bool = True      # skip non-minimal orbit prefixes
     prune_union: bool = True            # full-union independence bound
-    indep_mode: str = "auto"    # auto | table | lazy
-    table_cap: int = DEFAULT_TABLE_CAP
 
     def __post_init__(self):
         cap = self.k if self.delta_max is None else self.delta_max
@@ -111,15 +116,6 @@ class ExtensionTask:
 
     def target(self, m: int) -> ClassParams:
         return ClassParams(self.k + 1, m + self.d + 1, self.e_max)
-
-
-def _use_table(task: ExtensionTask, m: int) -> bool:
-    if task.indep_mode == "table":
-        return True
-    if task.indep_mode == "lazy":
-        return False
-    # the table only answers orders k-1 .. k+1-d, useless below d = 2
-    return task.d >= 2 and m <= min(task.table_cap, 24)
 
 
 def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict:
@@ -144,8 +140,18 @@ def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict
     if budget < 0:
         return out
 
+    adj = H.adj
+    full = (1 << m) - 1
+    deg0 = [row.bit_count() for row in adj]
+    table = None  # built below, once there are sets to assign
+
+    def alpha_ge(mask: int, r: int) -> bool:
+        if table is not None and table.band_low <= r <= table.band_high:
+            return table.cells[mask] >= r
+        return _alpha(adj, mask, r)[0] >= r
+
     if d == 0:
-        _accept(H, (), task, out, None, [row.bit_count() for row in H.adj], e_h)
+        _accept(H, (), task, out, alpha_ge, deg0, e_h)
         return out
 
     lo = max(0, task.d_min - 1)
@@ -160,19 +166,9 @@ def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict
     if not sets:
         return out
     orders = [s.bit_count() for s in sets]
-
-    table = None
-    if _use_table(task, m):
-        table = build_independence_table(H, k, max(d, 2), task.table_cap)
-
-    adj = H.adj
-    full = (1 << m) - 1
-    deg0 = [row.bit_count() for row in adj]
-
-    def alpha_ge(mask: int, r: int) -> bool:
-        if table is not None and table.band_low <= r <= table.band_high:
-            return table.cells[mask] >= r
-        return _alpha(adj, mask, r)[0] >= r
+    # the table answers orders k+1-d .. k-1, which is empty below d = 2
+    if d >= 2 and m <= TABLE_MAX_ORDER:
+        table = build_independence_table(H, k, d)
 
     # automorphisms of H collapse assignment multisets into orbits; only the
     # lexicographically smallest index sequence of each orbit is explored
@@ -232,7 +228,7 @@ def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict
                 forbidden: int, size_sum: int):
         i = len(assigned)
         if i == d:
-            _accept(H, assigned, task, out, table, degs, e_h + d + size_sum)
+            _accept(H, assigned, task, out, alpha_ge, degs, e_h + d + size_sum)
             return
         remaining = d - i
         for pos, idx in enumerate(eligible):
@@ -269,18 +265,20 @@ def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict
             new_prefix = tuple(sorted(prefix + (idx,)))
             if not prefix_minimal(new_prefix):
                 continue
-            # the next neighbor may reuse this set, so the child list keeps
-            # the current position when assigning in ascending order
-            base_list = eligible[pos:] if task.prune_ascending else eligible
+            # the last neighbor leads straight to the leaf test: no child list
             child = []
-            for idx2 in base_list:
-                if task.prune_forbidden and sets[idx2] & new_forbidden:
-                    continue
-                if task.prune_pair and not pair_ok(idx, idx2):
-                    continue
-                child.append(idx2)
-            if remaining > 1 and not child:
-                continue  # no eligible sets left for the other neighbors
+            if remaining > 1:
+                # the next neighbor may reuse this set, so the child list
+                # keeps the current position when assigning in ascending order
+                base_list = eligible[pos:] if task.prune_ascending else eligible
+                for idx2 in base_list:
+                    if task.prune_forbidden and sets[idx2] & new_forbidden:
+                        continue
+                    if task.prune_pair and not pair_ok(idx, idx2):
+                        continue
+                    child.append(idx2)
+                if not child:
+                    continue  # no eligible sets left for the other neighbors
             assigned.append(s)
             descend(child, new_prefix, new_union, new_degs, new_forbidden,
                     size_sum + sz)
@@ -320,10 +318,15 @@ def _assemble(H: Graph, assigned) -> Graph:
 
 
 def _accept(H: Graph, assigned, task: ExtensionTask, out: dict,
-            table: Optional[IndependenceTable], h_degs: list,
+            alpha_ge: Callable[[int, int], bool], h_degs: list,
             e_total: int) -> None:
-    """Leaf test: degree window, edge cap, independence bound, filters."""
-    k = task.k
+    """Leaf test: degree window, edge cap, independence bound.
+
+    An independent (k+1)-set of the output misses the hub (H has none of
+    order k), so it is |T| hub neighbors plus a (k+1-|T|)-set of H avoiding
+    their sets; |T| <= 1 is ruled out by alpha(H) < k, and pairs were
+    already vetted during the descent when the pair test is on.
+    """
     cap = task.degree_cap
     if e_total > task.e_max:
         return
@@ -333,72 +336,41 @@ def _accept(H: Graph, assigned, task: ExtensionTask, out: dict,
             return
         if task.regular and dw != task.d:
             return
-    if len(assigned) <= 1:
-        # alpha(G) = 1 + max(alpha(H), alpha(H - S)) <= 1 + alpha(H) <= k
-        g = _assemble(H, assigned)
-    elif table is not None:
-        if not _alpha_ok_by_table(H, assigned, task, table):
-            return
-        g = _assemble(H, assigned)
-    else:
-        g = _assemble(H, assigned)
-        if _alpha(g.adj, (1 << g.n) - 1, k + 1)[0] >= k + 1:
-            return
-    for rule in task.filters:
-        if not rule.holds(g):
-            return
-    out.setdefault(canonical_form(g), g)
-
-
-def _alpha_ok_by_table(H, assigned, task, table) -> bool:
-    """alpha(G) <= k via subset lookups: an independent (k+1)-set would
-    need |T| hub neighbors plus a (k+1-|T|)-set avoiding their S_j."""
-    k = task.k
-    d = len(assigned)
     full = (1 << H.n) - 1
-    lo_t = 2 if not task.prune_pair else 3  # pairs already vetted during descent
-    # enumerate unions over subsets of assigned sets, sizes lo_t..d
+    lo_t = 3 if task.prune_pair else 2
+    # unions over all subsets T of the assigned sets
     masks = [0]
     sizes = [0]
-    for j, s in enumerate(assigned):
-        cur_len = len(masks)
-        for x in range(cur_len):
+    for s in assigned:
+        for x in range(len(masks)):
             masks.append(masks[x] | s)
             sizes.append(sizes[x] + 1)
     for mask, t in zip(masks, sizes):
-        if t < lo_t:
-            continue
-        r = k + 1 - t
-        if r <= 0:
-            return False
-        if table.cells[full & ~mask] >= r:
-            return False
-    return True
+        if t >= lo_t and alpha_ge(full & ~mask, task.k + 1 - t):
+            return
+    g = _assemble(H, assigned)
+    out.setdefault(canonical_form(g), g)
 
 
 def min_degree_extend(
     target: ClassParams,
     d_min_assumed: int,
     inputs: Iterable[Graph],
-    inputs_complete: bool = True,
     e_max: Optional[int] = None,
-    **task_options,
-) -> tuple:
-    """All target-class graphs with minimum degree exactly d_min_assumed.
+) -> dict:
+    """All target-class graphs with minimum degree exactly d_min_assumed,
+    as {canonical form: Graph}.
 
     ``inputs`` must contain every (3, k-1; n-d-1, <= e_max - d^2)-graph; a
     minimum-degree-d vertex has neighbors of degree >= d, so its local
-    subgraph loses at least d^2 edges.  Returns ({form: graph}, complete)
-    where complete is False when the caller could not vouch for the input
-    store.
+    subgraph loses at least d^2 edges.
     """
     d = d_min_assumed
     k_in = target.k - 1
     cap = target.e if e_max is None else e_max
-    hard_degree_cap = task_options.get("delta_max") or k_in
-    if d > hard_degree_cap:
-        return {}, inputs_complete
-    task = ExtensionTask(k=k_in, d=d, e_max=cap, d_min=d, **task_options)
+    if d > k_in:
+        return {}
+    task = ExtensionTask(k=k_in, d=d, e_max=cap, d_min=d)
     out: dict = {}
     for h in inputs:
         if h.n != target.n - d - 1:
@@ -406,7 +378,7 @@ def min_degree_extend(
                 f"input order {h.n} incompatible with target n={target.n}, d={d}")
         for form, g in glue_extend(h, task).items():
             out.setdefault(form, g)
-    return out, inputs_complete
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .graphs import Graph, CapacityError
 
-DEFAULT_TABLE_CAP = 28  # 2^28 one-byte cells = 256 MiB
+TABLE_MAX_ORDER = 24  # 2^24 one-byte cells = 16 MiB
 
 
 def independent_sets(g: Graph, lo: int, hi: int) -> list:
@@ -45,38 +45,28 @@ def independent_sets(g: Graph, lo: int, hi: int) -> list:
 class IndependenceTable:
     """2^n banded independence numbers of all induced subgraphs.
 
-    cells[S] is 0 when alpha(base[S]) < band_low, otherwise
-    min(alpha(base[S]), band_high).
+    For the graph G it was built from, cells[S] is 0 when
+    alpha(G[S]) < band_low, otherwise min(alpha(G[S]), band_high).
     """
 
-    __slots__ = ("base", "band_low", "band_high", "cells")
+    __slots__ = ("band_low", "band_high", "cells")
 
-    def __init__(self, base: Graph, band_low: int, band_high: int, cells: bytearray):
-        self.base = base
+    def __init__(self, band_low: int, band_high: int, cells: bytearray):
         self.band_low = band_low
         self.band_high = band_high
         self.cells = cells
 
-    def alpha_at_least(self, mask: int, r: int) -> bool:
-        """Exact for band_low <= r <= band_high."""
-        return self.cells[mask] >= r
 
-    def value(self, mask: int) -> int:
-        return self.cells[mask]
-
-
-def build_independence_table(
-    base: Graph, k: int, d: int, cap: int = DEFAULT_TABLE_CAP
-) -> IndependenceTable:
+def build_independence_table(base: Graph, k: int, d: int) -> IndependenceTable:
     """Table for extending a (3,k)-member by a degree-d vertex.
 
     Band runs from k+1-d up to k-1, matching the orders the pruning tests
     ever ask about.
     """
     n = base.n
-    if n > cap:
+    if n > TABLE_MAX_ORDER:
         raise CapacityError(
-            f"order {n} exceeds subset-table cap {cap}; use lazy queries")
+            f"order {n} exceeds subset-table limit {TABLE_MAX_ORDER}")
     if d < 1 or k + 1 - d < 1:
         raise ValueError(f"band [{k + 1 - d}, {k - 1}] invalid (k={k}, d={d})")
     band_high = k - 1
@@ -99,4 +89,4 @@ def build_independence_table(
                     if not cells[y]:
                         cells[y] = j
                         stack.append(y)
-    return IndependenceTable(base, band_low, band_high, cells)
+    return IndependenceTable(band_low, band_high, cells)

@@ -265,8 +265,8 @@ def test_criterion_8_property_suites(tmp_path):
         got = set()
         for d in range(0, n):
             inputs = oracle(n - d - 1, k - 1, max(0, e_max - d * d))
-            res, _ = min_degree_extend(ClassParams(k, n, n * (n - 1) // 2),
-                                       d, inputs.values(), e_max=e_max)
+            res = min_degree_extend(ClassParams(k, n, n * (n - 1) // 2),
+                                    d, inputs.values(), e_max=e_max)
             got |= set(res)
         if got != want:
             failures.append(f"oracle-equivalence (3,{k};{n},<={e_max})")

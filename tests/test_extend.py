@@ -98,21 +98,23 @@ class TestPruningNeutrality:
                 assert set(glue_extend(h, task)) == set(glue_extend(h, off)), \
                     (field, m, task)
 
-    def test_lazy_matches_table(self):
-        for m, task in [(6, ExtensionTask(k=4, d=3, e_max=14)),
-                        (7, ExtensionTask(k=4, d=2, e_max=13))]:
-            lazy = dataclasses.replace(task, indep_mode="lazy")
-            tab = dataclasses.replace(task, indep_mode="table")
-            for h in brute_force_graphs(m, task.k, None).values():
-                want = set(glue_extend(h, tab))
-                assert set(glue_extend(h, lazy)) == want
+    def test_lazy_matches_table(self, monkeypatch):
+        def outputs():
+            return [set(glue_extend(h, task))
+                    for m, task in [(6, ExtensionTask(k=4, d=3, e_max=14)),
+                                    (7, ExtensionTask(k=4, d=2, e_max=13))]
+                    for h in brute_force_graphs(m, task.k, None).values()]
+        want = outputs()
+        # no host fits a table of order -1: every query goes to branch and bound
+        monkeypatch.setattr("ramsey3k.extend.TABLE_MAX_ORDER", -1)
+        assert outputs() == want
 
 
 class TestMinDegreeExtend:
     def test_c5_class(self):
         k2 = Graph.from_edges(2, [(0, 1)])
-        res, complete = min_degree_extend(ClassParams(3, 5, 5), 2, [k2])
-        assert complete and list(res) == [canonical_form(cycle(5))]
+        res = min_degree_extend(ClassParams(3, 5, 5), 2, [k2])
+        assert list(res) == [canonical_form(cycle(5))]
 
     def test_oracle_equivalence_small(self):
         for (k, n, e_max) in [(4, 8, 10), (5, 9, 36), (4, 7, 21)]:
@@ -121,19 +123,13 @@ class TestMinDegreeExtend:
             for d in range(0, n):
                 inputs = brute_force_graphs(n - d - 1, k - 1,
                                             max(0, e_max - d * d))
-                res, _ = min_degree_extend(ClassParams(k, n, e_max), d,
-                                           inputs.values())
+                res = min_degree_extend(ClassParams(k, n, e_max), d,
+                                        inputs.values())
                 got |= set(res)
             assert got == want, (k, n)
 
-    def test_partial_flag(self):
-        k2 = Graph.from_edges(2, [(0, 1)])
-        _, complete = min_degree_extend(ClassParams(3, 5, 5), 2, [k2],
-                                        inputs_complete=False)
-        assert not complete
-
     def test_unachievable_degree_empty(self):
-        res, _ = min_degree_extend(ClassParams(3, 7, 9), 5, [])
+        res = min_degree_extend(ClassParams(3, 7, 9), 5, [])
         assert res == {}
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from ramsey3k.graphs import CapacityError, Graph, independence_number
 from ramsey3k.indepcache import (
-    IndependenceTable,
+    TABLE_MAX_ORDER,
     build_independence_table,
     independent_sets,
 )
@@ -43,16 +43,16 @@ class TestIndependenceTable:
     def test_c5_band(self):
         t = build_independence_table(cycle(5), k=3, d=2)
         assert (t.band_low, t.band_high) == (2, 2)
-        assert t.value(0b00101) == 2      # {0, 2} independent
-        assert t.value(0b00011) == 0      # {0, 1} is an edge
-        assert t.value(0b11111) == 2
+        assert t.cells[0b00101] == 2      # {0, 2} independent
+        assert t.cells[0b00011] == 0      # {0, 1} is an edge
+        assert t.cells[0b11111] == 2
 
     def test_edgeless_band(self):
         t = build_independence_table(Graph.empty(4), k=4, d=3)
         assert (t.band_low, t.band_high) == (2, 3)
-        assert t.value(0b0011) == 2
-        assert t.value(0b0111) == 3
-        assert t.value(0b1111) == 3       # capped at band_high
+        assert t.cells[0b0011] == 2
+        assert t.cells[0b0111] == 3
+        assert t.cells[0b1111] == 3       # capped at band_high
 
     def test_petersen_random_subsets(self, rng):
         pet = petersen()
@@ -61,7 +61,7 @@ class TestIndependenceTable:
             mask = rng.randrange(1 << 10)
             alpha = brute_alpha_subset(pet, mask)
             want = min(alpha, 4) if alpha >= 2 else 0
-            assert t.value(mask) == want, bin(mask)
+            assert t.cells[mask] == want, bin(mask)
 
     def test_cell_semantics_random(self, rng):
         g = random_triangle_free(9, 0.3, rng)
@@ -71,13 +71,13 @@ class TestIndependenceTable:
         for mask in range(0, 1 << 9, 7):
             alpha = brute_alpha_subset(g, mask)
             if alpha < t.band_low:
-                assert t.value(mask) == 0
+                assert t.cells[mask] == 0
             else:
-                assert t.value(mask) == min(alpha, t.band_high)
+                assert t.cells[mask] == min(alpha, t.band_high)
 
     def test_order_cap(self):
         with pytest.raises(CapacityError):
-            build_independence_table(Graph.empty(6), k=3, d=2, cap=5)
+            build_independence_table(Graph.empty(TABLE_MAX_ORDER + 1), k=3, d=2)
 
     def test_fill_order_independent(self, rng):
         # shuffling which base set expands first cannot matter: cells are
