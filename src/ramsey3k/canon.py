@@ -168,6 +168,7 @@ def _canonical_search(g: Graph) -> tuple:
             tried.add(v)
 
     descend(initial, ())
+    del descend  # break the closure's self-reference so no cycle outlives the call
     perm = [0] * n
     for i, v in enumerate(best["verts"]):
         perm[v] = i

@@ -107,9 +107,6 @@ def cmd_extend(args) -> int:
     if no_prune:
         manifest.no_prune = no_prune
         manifest.write(args.manifest)
-    if args.regular:
-        manifest.regular = True
-        manifest.write(args.manifest)
     store = run_manifest(args.manifest, args.out, workers=args.workers,
                          allow_partial=args.allow_partial)
     print(f"# wrote {len(store)} graphs to {args.out}", file=sys.stderr)
@@ -226,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--manifest", required=True)
     q.add_argument("--out", required=True)
     q.add_argument("--workers", type=int, default=None)
-    q.add_argument("--regular", action="store_true")
     q.add_argument("--no-prune", action="append", metavar="RULE")
     q.add_argument("--allow-partial", action="store_true")
     q.set_defaults(func=cmd_extend)

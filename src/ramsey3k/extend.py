@@ -18,8 +18,9 @@ degree windows.  Six prunings cut the recursion:
                       makes small sets fail early;
   * edge bound     -- e(H) + d + sum|S_j| + |S|*(d-i) already exceeding the
                       edge cap kills the branch;
-  * automorphic    -- only the lexicographically smallest assignment of
-                      each orbit under Aut(H) is explored;
+  * automorphic    -- an assignment prefix is skipped when one discovered
+                      automorphism of H maps it to a smaller sorted index
+                      tuple;
   * full union     -- an independent (k-i)-set of H outside all i assigned
                       sets already forces an independent (k+1)-set.
 
@@ -99,23 +100,20 @@ class ExtensionTask:
     prune_forbidden: bool = True
     prune_ascending: bool = True
     prune_edge_bound: bool = True
-    prune_automorphic: bool = True      # skip non-minimal orbit prefixes
+    prune_automorphic: bool = True      # skip prefixes a generator lowers
     prune_union: bool = True            # full-union independence bound
 
     def __post_init__(self):
-        cap = self.k if self.delta_max is None else self.delta_max
-        if not self.d_min <= cap <= self.k:
+        if not self.d_min <= self.degree_cap <= self.k:
             raise ValueError(
-                f"need d_min <= delta_max <= k, got {self.d_min}, {cap}, {self.k}")
+                f"need d_min <= delta_max <= k, got {self.d_min}, "
+                f"{self.degree_cap}, {self.k}")
         if self.d < 0 or self.e_max < 0:
             raise ValueError("negative degree or edge cap")
 
     @property
     def degree_cap(self) -> int:
         return self.k if self.delta_max is None else self.delta_max
-
-    def target(self, m: int) -> ClassParams:
-        return ClassParams(self.k + 1, m + self.d + 1, self.e_max)
 
 
 def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict:
@@ -170,44 +168,21 @@ def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict
     if d >= 2 and m <= TABLE_MAX_ORDER:
         table = build_independence_table(H, k, d)
 
-    # automorphisms of H collapse assignment multisets into orbits; only the
-    # lexicographically smallest index sequence of each orbit is explored
-    aut_gens: list = []
+    # each discovered automorphism of H, as a permutation of the set list;
+    # a prefix is skipped when one of them maps it to a smaller sorted index
+    # tuple.  If g(P) < P for a prefix P of the ascending tuple A, then
+    # g(A) < A, so the smallest tuple of each orbit is never cut.
+    set_perms: list = []
     if task.prune_automorphic:
-        aut_gens = canonical_with_automorphisms(H)[1]
-    set_index = {mask: i for i, mask in enumerate(sets)}
-    image_cache: dict = {}
-
-    def image_index(gi: int, idx: int) -> int:
-        key = gi * nsets + idx
-        cached = image_cache.get(key)
-        if cached is None:
-            sigma = aut_gens[gi]
-            mask = sets[idx]
-            img = 0
-            while mask:
-                w = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                img |= 1 << sigma[w]
-            cached = set_index[img]
-            image_cache[key] = cached
-        return cached
+        set_index = {mask: i for i, mask in enumerate(sets)}
+        for sigma in canonical_with_automorphisms(H)[1]:
+            set_perms.append([set_index[_image(mask, sigma)] for mask in sets])
 
     def prefix_minimal(prefix: tuple) -> bool:
-        """No generator product maps the prefix to a smaller index tuple."""
-        if not aut_gens:
-            return True
-        seen = {prefix}
-        queue = [prefix]
-        while queue and len(seen) < 200:
-            p = queue.pop()
-            for gi in range(len(aut_gens)):
-                img = tuple(sorted(image_index(gi, idx) for idx in p))
-                if img < prefix:
-                    return False
-                if img not in seen:
-                    seen.add(img)
-                    queue.append(img)
+        """No single generator maps the prefix to a smaller index tuple."""
+        for perm in set_perms:
+            if tuple(sorted([perm[j] for j in prefix])) < prefix:
+                return False
         return True
 
     # pairwise compatibility of sets, computed once per (unordered) pair:
@@ -284,12 +259,24 @@ def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict
                     size_sum + sz)
             assigned.pop()
 
-    nsets = len(sets)
     forb0 = _initial_forbidden(deg0, cap)
-    root = [idx for idx in range(nsets)
+    root = [idx for idx in range(len(sets))
             if not (task.prune_forbidden and sets[idx] & forb0)]
     descend(root, (), 0, deg0, forb0, 0)
+    # descend refers to itself through its closure cell; breaking that cycle
+    # frees the sets, caches and table now instead of at the next collection
+    del descend
     return out
+
+
+def _image(mask: int, sigma) -> int:
+    """The vertex set mask mapped through the permutation sigma."""
+    img = 0
+    while mask:
+        w = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        img |= 1 << sigma[w]
+    return img
 
 
 def _initial_forbidden(degs, cap: int) -> int:

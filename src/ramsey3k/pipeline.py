@@ -12,6 +12,7 @@ is byte-identical regardless of worker count or interruption points.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -34,7 +35,11 @@ from .graphs import Graph, decode_graph6
 from .store import GraphStore
 
 DEFAULT_SHARD_SIZE = 10_000
-PRUNE_NAMES = ("pair", "forbidden", "ascending", "edgebound")
+# manifest and CLI names of the pruning rules: the ExtensionTask toggles
+# without their "prune_" prefix
+PRUNE_NAMES = tuple(f.name[len("prune_"):]
+                    for f in dataclasses.fields(ExtensionTask)
+                    if f.name.startswith("prune_"))
 
 
 def worker_count(requested: Optional[int] = None) -> int:
@@ -44,6 +49,10 @@ def worker_count(requested: Optional[int] = None) -> int:
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
+
+
+class ManifestError(RuntimeError):
+    pass
 
 
 @dataclass
@@ -62,8 +71,7 @@ class JobManifest:
     done: set = field(default_factory=set)           # {(degree, shard_index)}
 
     def task_for(self, degree: int) -> ExtensionTask:
-        toggles = {f"prune_{name.replace('edgebound', 'edge_bound')}": False
-                   for name in self.no_prune}
+        toggles = {f"prune_{name}": False for name in self.no_prune}
         return ExtensionTask(
             k=self.target_k - 1,
             d=degree,
@@ -122,6 +130,11 @@ class JobManifest:
                     done.add((int(degree), int(idx)))
                 else:
                     fields[key] = value
+        no_prune = tuple(x for x in fields.get("no_prune", "").split(",") if x)
+        unknown = [x for x in no_prune if x not in PRUNE_NAMES]
+        if unknown:
+            raise ManifestError(
+                f"unknown pruning rule(s) {unknown}; known: {PRUNE_NAMES}")
         manifest = cls(
             target_k=int(fields["target_k"]),
             n=int(fields["n"]),
@@ -130,7 +143,7 @@ class JobManifest:
             delta_max=int(fields["delta_max"]) if fields.get("delta_max") else None,
             regular=bool(int(fields.get("regular", 0))),
             shard_size=int(fields.get("shard_size", DEFAULT_SHARD_SIZE)),
-            no_prune=tuple(x for x in fields.get("no_prune", "").split(",") if x),
+            no_prune=no_prune,
             certified=bool(int(fields.get("certified", 0))),
             done=done,
         )
@@ -147,11 +160,9 @@ class JobManifest:
 
 
 def _run_shard(args) -> list:
-    """Worker: glue every input line at the given degree; returns sorted
+    """Worker: glue every input line under the task; returns sorted
     canonical output lines. Pure function of its arguments."""
-    lines, degree, manifest_fields = args
-    manifest = JobManifest(**manifest_fields)
-    task = manifest.task_for(degree)
+    lines, task = args
     out: dict = {}
     for line in lines:
         h = decode_graph6(line)
@@ -160,10 +171,6 @@ def _run_shard(args) -> list:
         for form in glue_extend(h, task, check_input=task.k >= 2):
             out[form] = None
     return sorted(out)
-
-
-class ManifestError(RuntimeError):
-    pass
 
 
 def run_manifest(
@@ -190,18 +197,13 @@ def run_manifest(
             chunk = lines[idx * manifest.shard_size:(idx + 1) * manifest.shard_size]
             shards.append((degree, idx, chunk))
 
-    manifest_fields = dict(
-        target_k=manifest.target_k, n=manifest.n, e_max=manifest.e_max,
-        d_min=manifest.d_min, delta_max=manifest.delta_max,
-        regular=manifest.regular, no_prune=manifest.no_prune,
-    )
     pending = [
         (degree, idx, chunk) for degree, idx, chunk in shards
         if (degree, idx) not in manifest.done
         or not os.path.exists(_part_path(parts_dir, degree, idx))
     ]
     nworkers = min(worker_count(workers), len(pending))
-    jobs = [(chunk, degree, manifest_fields) for degree, _, chunk in pending]
+    jobs = [(chunk, manifest.task_for(degree)) for degree, _, chunk in pending]
     # each shard's part and ledger line land as soon as it returns, so an
     # interrupted run keeps every finished shard
     with (multiprocessing.Pool(nworkers) if nworkers > 1

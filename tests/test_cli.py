@@ -119,3 +119,16 @@ def test_extend_runs_manifest(tmp_path):
                  "--workers", "1"]) == 0
     store = GraphStore.read(out)
     assert canonical_form(cycle(5)) in store.forms()
+
+
+def test_extend_no_prune_automorphic_same_store(tmp_path):
+    from test_pipeline import oracle_manifest
+    stores = []
+    for name, extra in [("default", []), ("off", ["--no-prune", "automorphic"])]:
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        out = str(run_dir / "out.g6")
+        assert main(["extend", "--manifest", oracle_manifest(run_dir, 4, 8, 12),
+                     "--out", out, "--workers", "1"] + extra) == 0
+        stores.append(open(out, "rb").read())
+    assert stores[0] == stores[1]

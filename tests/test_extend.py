@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 
@@ -98,6 +99,22 @@ class TestPruningNeutrality:
                 assert set(glue_extend(h, task)) == set(glue_extend(h, off)), \
                     (field, m, task)
 
+    def test_automorphic_rule_prunes(self, monkeypatch):
+        leaves = []
+
+        def counting_form(g):
+            leaves.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr("ramsey3k.extend.canonical_form", counting_form)
+        task = ExtensionTask(k=5, d=4, e_max=30)
+        off = dataclasses.replace(task, prune_automorphic=False)
+        on_out = glue_extend(petersen(), task)
+        on_leaves = len(leaves)
+        leaves.clear()
+        assert set(glue_extend(petersen(), off)) == set(on_out)
+        assert on_leaves < len(leaves)
+
     def test_lazy_matches_table(self, monkeypatch):
         def outputs():
             return [set(glue_extend(h, task))
@@ -108,6 +125,20 @@ class TestPruningNeutrality:
         # no host fits a table of order -1: every query goes to branch and bound
         monkeypatch.setattr("ramsey3k.extend.TABLE_MAX_ORDER", -1)
         assert outputs() == want
+
+
+def test_search_state_freed_without_collector():
+    hosts = brute_force_graphs(7, 4, None).values()
+    task = ExtensionTask(k=4, d=2, e_max=13)
+    gc.collect()
+    gc.disable()
+    try:
+        for h in hosts:
+            glue_extend(h, task)
+            canonical_form(h)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestMinDegreeExtend:
