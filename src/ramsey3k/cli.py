@@ -31,8 +31,8 @@ from .oracle import (
     gv_consistency_check,
     verify_minimality,
 )
-from .pipeline import PRUNE_NAMES, emit_bound_table, run_manifest, worker_count
-from .store import GraphStore, render_count_table
+from .pipeline import PRUNE_NAMES, JobManifest, ManifestError, run_manifest
+from .store import GraphStore, read_lines, render_count_table
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -102,7 +102,6 @@ def cmd_extend(args) -> int:
             print(f"unknown pruning rule {name!r}; known: {PRUNE_NAMES}",
                   file=sys.stderr)
             return USAGE_ERROR
-    from .pipeline import JobManifest
     manifest = JobManifest.read(args.manifest)
     if no_prune:
         manifest.no_prune = no_prune
@@ -178,13 +177,7 @@ def cmd_count(args) -> int:
 
 
 def _read_graphs(path: str) -> list:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(decode_graph6(line))
-    return out
+    return [decode_graph6(line) for line in read_lines(path)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,6 +260,9 @@ def main(argv=None) -> int:
         return CAPACITY_ERROR
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except ManifestError as exc:
+        print(f"manifest error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -236,7 +236,7 @@ class DegreeSequenceSolution:
         return f"[{inside or 'empty'} | e={self.e}, slack={self.slack}]"
 
 
-def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo, d_hi):
+def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo=None, d_hi=None):
     """Allowed degrees and their i^2 + bound(k-1, n-i-1) costs."""
     if d_hi is None:
         d_hi = k - 1
@@ -329,20 +329,14 @@ def feasible_sequences(
     return solutions
 
 
-def min_edge_bound(
-    k: int,
-    n: int,
-    table: EdgeBoundTable,
-    d_lo: Optional[int] = None,
-    d_hi: Optional[int] = None,
-) -> BoundEntry:
+def min_edge_bound(k: int, n: int, table: EdgeBoundTable) -> BoundEntry:
     """Smallest e admitting a solution, or infinite if none exists.
 
     Scans a dynamic program over (vertices used, degree sum) that carries
     the minimum achievable cost sum; e = s/2 is feasible exactly when that
     minimum cost stays within n*e.
     """
-    degrees, costs = _degree_costs(k, n, table, d_lo, d_hi)
+    degrees, costs = _degree_costs(k, n, table)
     if not degrees or n == 0:
         if n == 0:
             return BoundEntry(LOWER, 0, "computed")

@@ -95,7 +95,6 @@ class ExtensionTask:
     e_max: int                  # edge cap for outputs
     d_min: int = 0              # minimum degree of outputs
     delta_max: Optional[int] = None   # maximum degree; None means k
-    regular: bool = False       # force d-regular outputs
     prune_pair: bool = True
     prune_forbidden: bool = True
     prune_ascending: bool = True
@@ -116,23 +115,23 @@ class ExtensionTask:
         return self.k if self.delta_max is None else self.delta_max
 
 
-def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict:
+def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     """All (3,k+1; m+d+1, <=e_max)-graphs with a degree-d hub whose local
-    subgraph is H, up to isomorphism, as {canonical form: Graph}."""
+    subgraph is H, up to isomorphism, as {canonical form: Graph}.
+
+    d-regular outputs are asked for by d_min = delta_max = d.
+    """
     k = task.k
     d = task.d
-    if check_input:
-        validate_member(H, k)
     m = H.n
     n_out = m + d + 1
     if n_out > 64:
         raise CapacityError(f"output order {n_out} exceeds 64")
+    validate_member(H, k)
     out: dict = {}
     cap = task.degree_cap
     if d < task.d_min or d > cap:
         return out
-    if task.regular and d != cap:
-        raise ValueError("regular tasks need delta_max == d")
     e_h = H.edge_count()
     budget = task.e_max - e_h - d
     if budget < 0:
@@ -154,10 +153,6 @@ def glue_extend(H: Graph, task: ExtensionTask, check_input: bool = True) -> dict
 
     lo = max(0, task.d_min - 1)
     hi = min(k - 1, cap - 1, budget)
-    if task.regular:
-        lo = hi = d - 1
-        if hi > budget or hi < 0:
-            return out
     if hi < lo:
         return out
     sets = independent_sets(H, lo, hi)
@@ -321,8 +316,6 @@ def _accept(H: Graph, assigned, task: ExtensionTask, out: dict,
         dw = h_degs[w]
         if dw < task.d_min or dw > cap:
             return
-        if task.regular and dw != task.d:
-            return
     full = (1 << H.n) - 1
     lo_t = 3 if task.prune_pair else 2
     # unions over all subsets T of the assigned sets
@@ -386,7 +379,6 @@ def edge_removal_closure(
     mtf_graphs: Iterable[Graph],
     k: int,
     e_floor: Optional[int] = None,
-    check_input: bool = True,
 ) -> dict:
     """Downward closure of the inputs under single-edge deletion inside the
     (3,k) class, keeping edge counts >= e_floor; {canonical form: Graph}.
@@ -398,10 +390,9 @@ def edge_removal_closure(
     seen: dict = {}
     frontier = []
     for g in mtf_graphs:
-        if check_input:
-            validate_member(g, k)
-            if not is_maximal_triangle_free(g):
-                raise ValueError("input graph is not maximal triangle-free")
+        validate_member(g, k)
+        if not is_maximal_triangle_free(g):
+            raise ValueError("input graph is not maximal triangle-free")
         if g.edge_count() < floor:
             continue
         form = canonical_form(g)

@@ -402,10 +402,11 @@ def validate_member(g: Graph, k: int) -> ClassParams:
     """Accept g as a (3,k)-class member or raise MembershipError.
 
     Membership means triangle-free with alpha(g) < k; the maximum degree is
-    then automatically below k (a neighborhood is an independent set).
+    then automatically below k (a neighborhood is an independent set).  For
+    k = 1, alpha < 1 means g has no vertices.
     """
-    if k < 2:
-        raise ValueError("class bound k must be >= 2")
+    if k < 1:
+        raise ValueError("class bound k must be >= 1")
     tri = find_triangle(g)
     if tri is not None:
         raise MembershipError(f"triangle {tri}", "triangle", tri)

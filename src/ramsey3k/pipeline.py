@@ -4,18 +4,22 @@ bottom of the hierarchy.
 
 A manifest binds one target class box to per-degree input files plus the
 closure plan certifying that those inputs suffice.  Shards are processed
-independently and idempotently: each leaves a part file and a ledger line,
-so an interrupted run resumes without recomputation and the merged output
-is byte-identical regardless of worker count or interruption points.
+independently and idempotently, and a shard is finished exactly when its
+part file exists: a run computes only the missing parts and never writes
+its manifest, so an interrupted run resumes without recomputation and the
+merged output is byte-identical regardless of worker count or
+interruption points.  Every file is read and written through ``store``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import math
 import multiprocessing
 import os
+import shutil
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +36,7 @@ from .degseq import (
 )
 from .extend import ExtensionTask, glue_extend
 from .graphs import Graph, decode_graph6
-from .store import GraphStore
+from .store import GraphStore, read_lines, read_records, write_lines
 
 DEFAULT_SHARD_SIZE = 10_000
 # manifest and CLI names of the pruning rules: the ExtensionTask toggles
@@ -55,6 +59,24 @@ class ManifestError(RuntimeError):
     pass
 
 
+def _positive(value: str) -> int:
+    # a shard size below 1 would cut the input into the wrong chunks
+    if int(value) < 1:
+        raise ValueError(value)
+    return int(value)
+
+
+# parsers of the single-valued manifest keys; with the repeated input= and
+# plan= lines they are every key a manifest may carry
+_SCALARS = {
+    "target_k": int, "n": int, "e_max": int, "d_min": int,
+    "shard_size": _positive,
+    "delta_max": lambda v: int(v) if v else None,
+    "no_prune": lambda v: tuple(x for x in v.split(",") if x),
+    "certified": lambda v: bool(int(v)),
+}
+
+
 @dataclass
 class JobManifest:
     target_k: int
@@ -62,13 +84,11 @@ class JobManifest:
     e_max: int
     d_min: int = 0
     delta_max: Optional[int] = None
-    regular: bool = False
     shard_size: int = DEFAULT_SHARD_SIZE
     no_prune: tuple = ()
     inputs: list = field(default_factory=list)       # (degree, path)
     plan: Optional[ClosurePlan] = None
     certified: bool = False
-    done: set = field(default_factory=set)           # {(degree, shard_index)}
 
     def task_for(self, degree: int) -> ExtensionTask:
         toggles = {f"prune_{name}": False for name in self.no_prune}
@@ -78,7 +98,6 @@ class JobManifest:
             e_max=self.e_max,
             d_min=self.d_min,
             delta_max=self.delta_max,
-            regular=self.regular,
             **toggles,
         )
 
@@ -89,7 +108,6 @@ class JobManifest:
             f"e_max={self.e_max}",
             f"d_min={self.d_min}",
             f"delta_max={'' if self.delta_max is None else self.delta_max}",
-            f"regular={int(self.regular)}",
             f"shard_size={self.shard_size}",
             f"no_prune={','.join(self.no_prune)}",
             f"certified={int(self.certified)}",
@@ -100,63 +118,40 @@ class JobManifest:
             for r in sorted(self.plan.rows, key=lambda r: r.degree):
                 lines.append(
                     f"plan={r.degree},{r.m},{r.base},{r.increment},{r.ceiling}")
-        for degree, idx in sorted(self.done):
-            lines.append(f"done={degree}:{idx}")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        write_lines(path, lines)
 
     @classmethod
     def read(cls, path: str) -> "JobManifest":
+        """Parse a manifest; a missing, malformed or unknown line raises
+        ManifestError naming its key."""
         fields: dict = {}
         inputs = []
         plan_rows = []
-        done = set()
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                key, value = line.split("=", 1)
+        for key, value in read_records(path):
+            if key not in _SCALARS and key not in ("input", "plan"):
+                raise ManifestError(f"{path}: unknown key {key!r}")
+            try:
                 if key == "input":
                     degree, p = value.split(":", 1)
                     inputs.append((int(degree), p))
                 elif key == "plan":
-                    d, m, base, inc, ceil = (int(x) for x in value.split(","))
-                    plan_rows.append(PlanRow(d, m, base, inc, ceil))
-                elif key == "done":
-                    degree, idx = value.split(":")
-                    done.add((int(degree), int(idx)))
+                    plan_rows.append(PlanRow(*(int(x) for x in value.split(","))))
                 else:
-                    fields[key] = value
-        no_prune = tuple(x for x in fields.get("no_prune", "").split(",") if x)
-        unknown = [x for x in no_prune if x not in PRUNE_NAMES]
+                    fields[key] = _SCALARS[key](value)
+            except (TypeError, ValueError):
+                raise ManifestError(f"{path}: malformed {key}={value!r}") from None
+        missing = [key for key in ("target_k", "n", "e_max") if key not in fields]
+        if missing:
+            raise ManifestError(f"{path}: missing key(s) {missing}")
+        unknown = [x for x in fields.get("no_prune", ()) if x not in PRUNE_NAMES]
         if unknown:
             raise ManifestError(
                 f"unknown pruning rule(s) {unknown}; known: {PRUNE_NAMES}")
-        manifest = cls(
-            target_k=int(fields["target_k"]),
-            n=int(fields["n"]),
-            e_max=int(fields["e_max"]),
-            d_min=int(fields.get("d_min", 0)),
-            delta_max=int(fields["delta_max"]) if fields.get("delta_max") else None,
-            regular=bool(int(fields.get("regular", 0))),
-            shard_size=int(fields.get("shard_size", DEFAULT_SHARD_SIZE)),
-            no_prune=no_prune,
-            certified=bool(int(fields.get("certified", 0))),
-            done=done,
-        )
-        manifest.inputs = inputs
+        manifest = cls(inputs=inputs, **fields)
         if plan_rows:
             manifest.plan = ClosurePlan(manifest.target_k, manifest.n,
                                         manifest.e_max, plan_rows)
         return manifest
-
-    def append_done(self, path: str, degree: int, idx: int) -> None:
-        self.done.add((degree, idx))
-        with open(path, "a") as fh:
-            fh.write(f"done={degree}:{idx}\n")
 
 
 def _run_shard(args) -> list:
@@ -165,10 +160,7 @@ def _run_shard(args) -> list:
     lines, task = args
     out: dict = {}
     for line in lines:
-        h = decode_graph6(line)
-        # membership is defined for k >= 2; the k=1 base class holds only
-        # the vertexless graph
-        for form in glue_extend(h, task, check_input=task.k >= 2):
+        for form in glue_extend(decode_graph6(line), task):
             out[form] = None
     return sorted(out)
 
@@ -179,7 +171,8 @@ def run_manifest(
     workers: Optional[int] = None,
     allow_partial: bool = False,
 ) -> GraphStore:
-    """Execute all pending shards, then merge parts into the output store."""
+    """Execute every shard whose part file is missing, then merge the parts
+    into the output store.  The manifest is only read."""
     manifest = JobManifest.read(manifest_path)
     if not manifest.certified and not allow_partial:
         raise ManifestError(
@@ -191,37 +184,29 @@ def run_manifest(
     for degree, path in manifest.inputs:
         if not os.path.exists(path):
             raise ManifestError(f"missing input file {path}")
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = read_lines(path)
         for idx in range(0, max(1, math.ceil(len(lines) / manifest.shard_size))):
             chunk = lines[idx * manifest.shard_size:(idx + 1) * manifest.shard_size]
             shards.append((degree, idx, chunk))
 
-    pending = [
-        (degree, idx, chunk) for degree, idx, chunk in shards
-        if (degree, idx) not in manifest.done
-        or not os.path.exists(_part_path(parts_dir, degree, idx))
-    ]
+    pending = [(degree, idx, chunk) for degree, idx, chunk in shards
+               if not os.path.exists(_part_path(parts_dir, degree, idx))]
     nworkers = min(worker_count(workers), len(pending))
     jobs = [(chunk, manifest.task_for(degree)) for degree, _, chunk in pending]
-    # each shard's part and ledger line land as soon as it returns, so an
-    # interrupted run keeps every finished shard
+    # each shard's part lands as soon as it returns, so an interrupted run
+    # keeps every finished shard
     with (multiprocessing.Pool(nworkers) if nworkers > 1
           else contextlib.nullcontext()) as pool:
         results = pool.imap(_run_shard, jobs) if pool else map(_run_shard, jobs)
         for (degree, idx, _), lines in zip(pending, results):
-            _write_part(parts_dir, degree, idx, lines)
-            manifest.append_done(manifest_path, degree, idx)
+            write_lines(_part_path(parts_dir, degree, idx), lines)
 
     store = GraphStore(manifest.target_k, manifest.n, 0, manifest.e_max,
                        complete=manifest.certified,
                        certificate=_plan_hash(manifest.plan))
     for degree, idx, _ in shards:
-        with open(_part_path(parts_dir, degree, idx)) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    store.add(decode_graph6(line), form=line)
+        for line in read_lines(_part_path(parts_dir, degree, idx)):
+            store.add(decode_graph6(line), form=line)
     store.write(out_path)
     return store
 
@@ -230,18 +215,9 @@ def _part_path(parts_dir: str, degree: int, idx: int) -> str:
     return os.path.join(parts_dir, f"d{degree}_s{idx}.g6")
 
 
-def _write_part(parts_dir: str, degree: int, idx: int, lines) -> None:
-    tmp = _part_path(parts_dir, degree, idx) + ".tmp"
-    with open(tmp, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    os.replace(tmp, _part_path(parts_dir, degree, idx))
-
-
 def _plan_hash(plan: Optional[ClosurePlan]) -> str:
     if plan is None:
         return ""
-    import hashlib
     text = plan.to_csv()
     return "plan:" + hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -357,8 +333,9 @@ class Bootstrap:
                 # file of its own yet
                 st.write(self.store_path(*box))
             inputs.append((row.degree, self.store_path(*box)))
-        # a fresh ledger every time: parts left in the root by an earlier
-        # run are recomputed, never trusted
+        # parts left in the root by an earlier run are recomputed, never
+        # trusted
+        shutil.rmtree(path + ".parts", ignore_errors=True)
         manifest = JobManifest(target_k=k, n=n, e_max=e_cap, inputs=inputs,
                                plan=plan, certified=True)
         manifest.write(path + ".manifest")
@@ -380,25 +357,3 @@ class Bootstrap:
             return count * (1.6 ** m)
         return cost
 
-
-# ---------------------------------------------------------------------------
-# Table rendering
-# ---------------------------------------------------------------------------
-
-def emit_bound_table(table: EdgeBoundTable, k: int, n_from: int, n_to: int) -> str:
-    """Two-column text table of the level's bounds with kind annotations."""
-    lines = [f"# minimum edge bounds, independence bound {k}",
-             f"{'n':>4}  bound"]
-    for n in range(n_from, n_to + 1):
-        if not table.has(k, n):
-            continue
-        entry = table.entry(k, n)
-        if entry.kind == INFINITE:
-            text = "inf"
-        elif entry.kind == EXACT:
-            text = f"={entry.value}"
-        else:
-            text = f">={entry.value}"
-        note = f"  # {entry.provenance}" if entry.provenance else ""
-        lines.append(f"{n:>4}  {text}{note}")
-    return "\n".join(lines) + "\n"

@@ -1,10 +1,16 @@
-"""Deduplicated graph stores and their on-disk form.
+"""Deduplicated graph stores and the file protocol of every state file.
 
 A store file is plain graph6, one canonically-labelled graph per line,
 sorted, LF-terminated.  A sidecar ``<path>.meta`` file carries the
 parameter box, per-edge-count histogram, and the completeness certificate
 in a line-oriented key=value format, so stores stay diff-able and readable
 by external tools.
+
+Stores, sidecars, job manifests and shard parts are all line files, and
+all of them go through the three functions below: ``write_lines`` replaces
+a file durably (temp file, fsync, rename), so a crash at any point leaves
+either the old file or the new one; ``read_lines`` and ``read_records``
+read them back.
 """
 
 from __future__ import annotations
@@ -19,6 +25,32 @@ from .graphs import Graph, decode_graph6, validate_member
 
 class StoreError(ValueError):
     pass
+
+
+def write_lines(path: str, lines) -> None:
+    """Replace ``path`` with the LF-terminated lines: they go to a temp
+    file, which is flushed and fsynced before it is renamed over ``path``."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def read_lines(path: str) -> list:
+    """The stripped non-blank lines of ``path``."""
+    with open(path) as fh:
+        return [s for s in (line.strip() for line in fh) if s]
+
+
+def read_records(path: str) -> list:
+    """The ``(key, value)`` pairs of a key=value file, in order; ``#``
+    lines and lines without ``=`` are skipped."""
+    return [tuple(part.strip() for part in line.split("=", 1))
+            for line in read_lines(path)
+            if not line.startswith("#") and "=" in line]
 
 
 class GraphStore:
@@ -84,12 +116,6 @@ class GraphStore:
                 sub._graphs[form] = g
         return sub
 
-    def merge(self, other: "GraphStore") -> None:
-        if (other.k, other.n) != (self.k, self.n):
-            raise StoreError("cannot merge stores with different (k, n) boxes")
-        for form, g in other._graphs.items():
-            self._graphs.setdefault(form, g)
-
     # -- persistence ---------------------------------------------------------
 
     def lines(self) -> list:
@@ -103,11 +129,7 @@ class GraphStore:
         return h.hexdigest()[:16]
 
     def write(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            for line in self.lines():
-                fh.write(line + "\n")
-        os.replace(tmp, path)
+        write_lines(path, self.lines())
         meta = [
             f"k={self.k}",
             f"n={self.n}",
@@ -120,14 +142,12 @@ class GraphStore:
         ]
         for e, c in sorted(self.counts().items()):
             meta.append(f"count.{e}={c}")
-        tmp = path + ".meta.tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(meta) + "\n")
-        os.replace(tmp, path + ".meta")
+        write_lines(path + ".meta", meta)
 
     @classmethod
     def read(cls, path: str, check: bool = False) -> "GraphStore":
-        meta = _read_kv(path + ".meta") if os.path.exists(path + ".meta") else {}
+        meta = (dict(read_records(path + ".meta"))
+                if os.path.exists(path + ".meta") else {})
         store = cls(
             k=int(meta.get("k", 0)),
             n=int(meta.get("n", -1)),
@@ -136,34 +156,18 @@ class GraphStore:
             complete=bool(int(meta.get("complete", 0))),
             certificate=meta.get("certificate", ""),
         )
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                g = decode_graph6(line)
-                if store.n < 0:
-                    store.n = g.n
-                    store.e_max = g.n * (g.n - 1) // 2
-                store.add(g, check=check and store.k >= 2)
+        for line in read_lines(path):
+            g = decode_graph6(line)
+            if store.n < 0:
+                store.n = g.n
+                store.e_max = g.n * (g.n - 1) // 2
+            store.add(g, check=check and store.k >= 1)
         if "total" in meta and int(meta["total"]) != len(store):
             raise StoreError(f"{path}: meta total {meta['total']} != {len(store)}")
         if "hash" in meta and meta["hash"] != store.content_hash():
             raise StoreError(
                 f"{path}: meta hash {meta['hash']} != {store.content_hash()}")
         return store
-
-
-def _read_kv(path: str) -> dict:
-    out: dict = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
 
 
 def render_count_table(counts: dict) -> str:

@@ -245,10 +245,10 @@ def test_criterion_8_property_suites(tmp_path):
         cap = grid.bound_value(k_in, m) + 3 if grid.has(k_in, m) else 6
         hosts = list(oracle(m, k_in, cap).values())
         for h in hosts:
-            base = set(glue_extend(h, task, check_input=False))
+            base = set(glue_extend(h, task))
             for field in rules:
                 off = dataclasses.replace(task, **{field: False})
-                if set(glue_extend(h, off, check_input=False)) != base:
+                if set(glue_extend(h, off)) != base:
                     failures.append(f"neutrality {field} m={m} k={k_in}")
 
     # -- oracle equivalence of the minimum-degree reconstruction; classes

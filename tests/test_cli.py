@@ -132,3 +132,28 @@ def test_extend_no_prune_automorphic_same_store(tmp_path):
                      "--out", out, "--workers", "1"] + extra) == 0
         stores.append(open(out, "rb").read())
     assert stores[0] == stores[1]
+
+
+BOX = "target_k=3\nn=5\ne_max=5\ncertified=1\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    ("n=5\ne_max=5\ncertified=1\n", "target_k"),
+    ("target_k=x\nn=5\ne_max=5\n", "target_k"),
+    (BOX + "input=2\n", "input"),
+    (BOX + "plan=1,2,3\n", "plan"),
+    (BOX + "done=2:0\n", "done"),
+    (BOX + "regular=1\n", "regular"),
+    (BOX + "shard_size=-1\n", "shard_size"),
+    ("target_k=3\nn=5\ne_max=5\ncertified=0\n", "certificate"),
+], ids=["missing-key", "not-an-integer", "malformed-input", "malformed-plan",
+        "unknown-key-done", "unknown-key-regular", "nonpositive-shard-size",
+        "uncertified"])
+def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text(text)
+    assert main(["extend", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "o.g6")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("manifest error:") and key in err
+    assert "Traceback" not in err

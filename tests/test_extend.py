@@ -70,14 +70,12 @@ class TestGlueExtend:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            glue_extend(Graph.empty(60), ExtensionTask(k=8, d=6, e_max=99),
-                        check_input=False)
+            glue_extend(Graph.empty(60), ExtensionTask(k=8, d=6, e_max=99))
 
     def test_regular_outputs(self):
         # 2-regular (3,3)-graphs on 5 vertices from K2: just C5
         k2 = Graph.from_edges(2, [(0, 1)])
-        task = ExtensionTask(k=2, d=2, e_max=5, d_min=2, delta_max=2,
-                             regular=True)
+        task = ExtensionTask(k=2, d=2, e_max=5, d_min=2, delta_max=2)
         res = glue_extend(k2, task)
         assert list(res) == [canonical_form(cycle(5))]
         for g in res.values():

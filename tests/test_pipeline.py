@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from ramsey3k import data
+from ramsey3k import data, pipeline
 from ramsey3k.canon import canonical_form
 from ramsey3k.degseq import EXACT, INFINITE, plan_closure
 from ramsey3k.graphs import Graph, GraphFormatError, encode_graph6
@@ -12,7 +12,6 @@ from ramsey3k.pipeline import (
     Bootstrap,
     JobManifest,
     ManifestError,
-    emit_bound_table,
     run_manifest,
     worker_count,
 )
@@ -71,15 +70,41 @@ class TestManifest:
         path = oracle_manifest(tmp_path, shard_size=1)
         out = str(tmp_path / "out.g6")
         full = run_manifest(path, out).forms()
-        # simulate an interrupted run: drop the ledger and one part file
-        m = JobManifest.read(path)
-        some = sorted(m.done)[0]
-        m.done.discard(some)
-        m.write(path)
+        # simulate an interrupted run: drop one part file
         parts = sorted(os.listdir(out + ".parts"))
         os.remove(os.path.join(out + ".parts", parts[0]))
         resumed = run_manifest(path, out)
         assert resumed.forms() == full
+
+    def test_rerun_recomputes_only_missing_parts(self, tmp_path, monkeypatch):
+        path = oracle_manifest(tmp_path, 4, 7, 9, shard_size=1)
+        out = str(tmp_path / "out.g6")
+        run_manifest(path, out, workers=1)
+        written = [open(out + s, "rb").read() for s in ("", ".meta")]
+        parts = sorted(os.listdir(out + ".parts"))
+        assert len(parts) >= 3
+        lost = os.path.join(out + ".parts", parts[1])
+        os.remove(lost)
+        with open(lost + ".tmp", "w") as fh:
+            fh.write("garbage\n")  # a part write cut short before its rename
+        calls = []
+        run_shard = pipeline._run_shard
+
+        def counting(args):
+            calls.append(args)
+            return run_shard(args)
+
+        monkeypatch.setattr(pipeline, "_run_shard", counting)
+        run_manifest(path, out, workers=1)
+        assert len(calls) == 1
+        assert os.path.exists(lost)
+        assert [open(out + s, "rb").read() for s in ("", ".meta")] == written
+
+    def test_run_leaves_manifest_unchanged(self, tmp_path):
+        path = oracle_manifest(tmp_path, shard_size=1)
+        before = open(path, "rb").read()
+        run_manifest(path, str(tmp_path / "out.g6"))
+        assert open(path, "rb").read() == before
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("RAMSEY_WORKERS", "3")
@@ -91,10 +116,7 @@ class TestManifest:
         out1 = str(tmp_path / "a.g6")
         out2 = str(tmp_path / "b.g6")
         run_manifest(path, out1, workers=1)
-        # reset ledger so the second run recomputes with two workers
-        m = JobManifest.read(path)
-        m.done.clear()
-        m.write(path)
+        # a new output has no parts yet, so every shard runs on two workers
         run_manifest(path, out2, workers=2)
         assert open(out1).read() == open(out2).read()
 
@@ -111,7 +133,6 @@ class TestManifest:
         with pytest.raises(GraphFormatError):
             run_manifest(path, out, workers=2)
         assert len(finished) >= 3
-        assert JobManifest.read(path).done == finished
         assert sorted(os.listdir(out + ".parts")) == sorted(
             f"d{degree}_s{idx}.g6" for degree, idx in finished)
         with open(last, "w") as fh:
@@ -199,22 +220,7 @@ class TestBootstrap:
         for degree in range(4):
             with open(os.path.join(path + ".parts", f"d{degree}_s0.g6"), "w") as fh:
                 fh.write(bogus + "\n")
-        JobManifest(target_k=4, n=8, e_max=12,
-                    done={(degree, 0) for degree in range(4)}).write(
-                        path + ".manifest")
         st = bs.store(4, 8, 12)
         assert st.forms() == set(brute_force_graphs(8, 4, 12))
         assert bogus not in open(path).read().split()
 
-
-class TestEmitBoundTable:
-    def test_seed_column(self):
-        table = data.builtin_table(10)
-        text = emit_bound_table(table, 3, 3, 6)
-        rows = [r.split() for r in text.splitlines()[2:]]
-        assert [r[1] for r in rows] == ["=1", "=2", "=5", "inf"]
-
-    def test_header_only(self):
-        table = data.builtin_table(10)
-        text = emit_bound_table(table, 3, 50, 40)
-        assert len(text.splitlines()) == 2

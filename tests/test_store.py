@@ -1,9 +1,16 @@
 import pytest
 
 from ramsey3k.canon import canonical_form
-from ramsey3k.graphs import Graph
+from ramsey3k.graphs import Graph, MembershipError
 from ramsey3k.oracle import brute_force_graphs
-from ramsey3k.store import GraphStore, StoreError, render_count_table
+from ramsey3k.store import (
+    GraphStore,
+    StoreError,
+    read_lines,
+    read_records,
+    render_count_table,
+    write_lines,
+)
 
 from conftest import cycle
 
@@ -40,10 +47,6 @@ class TestGraphStore:
         sub = store.restricted(11)
         assert sub.complete and len(sub) == 2
         assert all(g.edge_count() <= 11 for g in sub.graphs())
-
-    def test_merge_box_mismatch(self):
-        with pytest.raises(StoreError):
-            filled_store().merge(GraphStore(4, 7))
 
     def test_write_read_roundtrip(self, tmp_path):
         store = filled_store()
@@ -88,6 +91,41 @@ class TestGraphStore:
             fh.write("\n".join(sorted(lines)) + "\n")
         with pytest.raises(StoreError):
             GraphStore.read(path)
+
+
+    def test_k1_members_checked(self, tmp_path):
+        # the k=1 class holds only the vertexless graph
+        path = str(tmp_path / "s.g6")
+        base = GraphStore(1, 0, complete=True)
+        base.add(Graph.empty(0), check=True)
+        base.write(path)
+        assert len(GraphStore.read(path, check=True)) == 1
+        bad = GraphStore(1, 1)
+        bad.add(Graph.empty(1))
+        bad.write(path)
+        with pytest.raises(MembershipError):
+            GraphStore.read(path, check=True)
+
+
+class TestLineFiles:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = str(tmp_path / "f")
+        write_lines(path, ["a", "b"])
+
+        def cut_short():
+            yield "c"
+            raise RuntimeError("writer died")
+
+        with pytest.raises(RuntimeError):
+            write_lines(path, cut_short())
+        assert open(path).read() == "a\nb\n"
+        assert read_lines(path) == ["a", "b"]
+
+    def test_read_records(self, tmp_path):
+        path = str(tmp_path / "f")
+        write_lines(path, ["# note=x", "k = 4", "", "  junk  ", "a=b=c"])
+        assert read_lines(path) == ["# note=x", "k = 4", "junk", "a=b=c"]
+        assert read_records(path) == [("k", "4"), ("a", "b=c")]
 
 
 class TestRenderCountTable:
