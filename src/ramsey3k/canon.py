@@ -11,6 +11,10 @@ candidates that are twins of an already-explored sibling are skipped, and
 automorphisms discovered from equal-key leaves are replayed to skip orbit
 mates (only generators fixing the current individualization prefix are
 used, which keeps the pruning exact).
+
+A rooted search puts one vertex in its own first cell, so its best leaf
+key labels the graph with that vertex as a colour: two roots get equal keys
+exactly when an automorphism maps one to the other.
 """
 
 from __future__ import annotations
@@ -100,18 +104,29 @@ def canonical_with_automorphisms(g: Graph) -> tuple:
     """(labelling, automorphism generators) -- the generators are the
     equal-key leaf permutations discovered during the search; they generate
     a (not necessarily full) subgroup of Aut(g)."""
-    return _canonical_search(g)
+    return _canonical_search(g)[:2]
 
 
-def _canonical_search(g: Graph) -> tuple:
+def rooted_key(g: Graph, v: int) -> tuple:
+    """Canonical key of g with v marked: rooted_key(g, v) == rooted_key(g, w)
+    exactly when some automorphism of g maps v to w."""
+    return _canonical_search(g, root=v)[2]
+
+
+def _canonical_search(g: Graph, root=None) -> tuple:
+    """(labelling, automorphism generators, best leaf key); a given root
+    starts in its own first cell."""
     n = g.n
     if n == 0:
-        return (), []
+        return (), [], ()
     adj = g.adj
     by_degree = {}
     for v in range(n):
-        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+        if v != root:
+            by_degree.setdefault(adj[v].bit_count(), []).append(v)
     initial = [by_degree[d] for d in sorted(by_degree)]
+    if root is not None:
+        initial.insert(0, [root])
 
     best = {"key": None, "verts": None}
     gens = []
@@ -172,7 +187,7 @@ def _canonical_search(g: Graph) -> tuple:
     perm = [0] * n
     for i, v in enumerate(best["verts"]):
         perm[v] = i
-    return tuple(perm), gens
+    return tuple(perm), gens, best["key"]
 
 
 def canonical_graph(g: Graph) -> Graph:

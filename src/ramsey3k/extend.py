@@ -6,7 +6,7 @@ degree d: each neighbor u_i of v is joined to an independent set S_i of H.
 The expanded graph is triangle-free by construction (the S_i are
 independent and the u_i are pairwise non-adjacent), so the search is only
 about keeping the independence number below k+1 while meeting the edge and
-degree windows.  Six prunings cut the recursion:
+degree windows.  Seven prunings cut the recursion and the leaves:
 
   * pair test      -- candidate S against each assigned S_j: if the rest of
                       H still holds an independent set of order k-1, the
@@ -22,10 +22,27 @@ degree windows.  Six prunings cut the recursion:
                       automorphism of H maps it to a smaller sorted index
                       tuple;
   * full union     -- an independent (k-i)-set of H outside all i assigned
-                      sets already forces an independent (k+1)-set.
+                      sets already forces an independent (k+1)-set;
+  * canonical      -- a leaf is labelled only when its hub is the canonical
+                      vertex among itself and the covered vertices: the
+                      smallest (deg, Z, sorted neighbour Zs), where Z(v) is
+                      the degree sum of v's neighbours, with ties broken by
+                      the smallest rooted key.
 
-Disabling any of them must not change the output set; the test suite holds
-the engine to that.
+A vertex v of an output G is covered by the task's (degree, ceiling) pairs
+when deg v has a ceiling and e(G) - Z(v) <= ceiling; in a triangle-free
+graph e(G) - Z(v) is the edge count of v's local subgraph.  With inputs
+complete up to those ceilings, every covered v is a hub that some input
+yields.  The other prunings keep every output up to isomorphism fixing the
+hub, so for the canonical covered orbit of G some input produces a copy of
+G with its hub in that orbit, and that copy passes the test.  A certified
+closure plan gives every output a covered vertex, so each output is kept
+from one degree row and one input only.  With an empty cover the rule does
+nothing.
+
+Disabling any of the first six must not change the output set of a single
+host; disabling the canonical rule must not change the output set of a
+certified run.  The test suite holds the engine to both.
 
 Every independence question is "does H minus a union of assigned sets hold
 an independent r-set?"  It is answered from the subset table when d >= 2
@@ -38,13 +55,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .canon import canonical_form, canonical_with_automorphisms
+from .canon import canonical_form, canonical_with_automorphisms, rooted_key
 from .graphs import (
     CapacityError,
     ClassParams,
     Graph,
     _alpha,
+    bits,
     validate_member,
+    z_value,
 )
 from .indepcache import (
     TABLE_MAX_ORDER,
@@ -95,12 +114,14 @@ class ExtensionTask:
     e_max: int                  # edge cap for outputs
     d_min: int = 0              # minimum degree of outputs
     delta_max: Optional[int] = None   # maximum degree; None means k
+    cover: tuple = ()           # (degree, ceiling) pairs of the closure plan
     prune_pair: bool = True
     prune_forbidden: bool = True
     prune_ascending: bool = True
     prune_edge_bound: bool = True
     prune_automorphic: bool = True      # skip prefixes a generator lowers
     prune_union: bool = True            # full-union independence bound
+    prune_canonical: bool = True        # hub must be the canonical covered vertex
 
     def __post_init__(self):
         if not self.d_min <= self.degree_cap <= self.k:
@@ -329,7 +350,54 @@ def _accept(H: Graph, assigned, task: ExtensionTask, out: dict,
         if t >= lo_t and alpha_ge(full & ~mask, task.k + 1 - t):
             return
     g = _assemble(H, assigned)
+    if task.prune_canonical and task.cover and \
+            not _hub_canonical(g, e_total, dict(task.cover)):
+        return
     out.setdefault(canonical_form(g), g)
+
+
+def _hub_canonical(g: Graph, e_total: int, ceilings: dict) -> bool:
+    """Whether the hub (the last vertex) is the canonical vertex among itself
+    and the covered vertices: smallest (deg, Z, sorted neighbour Zs), ties
+    broken by the smallest rooted key.
+
+    A vertex w is covered when its degree has a ceiling and e(G) - Z(w), the
+    edge count of its local subgraph, is at most that ceiling.
+    """
+    adj = g.adj
+    hub = g.n - 1
+
+    def neighbour_zs(v: int) -> list:
+        return sorted(z_value(g, u) for u in bits(adj[v]))
+
+    # the cheap (deg, Z) comparison runs first; the neighbour Zs and the
+    # rooted keys only break its ties
+    hub_inv = (adj[hub].bit_count(), z_value(g, hub))
+    hub_nz = None
+    rivals = []
+    for w in range(hub):
+        dw = adj[w].bit_count()
+        if dw > hub_inv[0]:
+            continue
+        ceiling = ceilings.get(dw)
+        if ceiling is None:
+            continue
+        zw = z_value(g, w)
+        if e_total - zw > ceiling or (dw, zw) > hub_inv:
+            continue
+        if (dw, zw) < hub_inv:
+            return False
+        if hub_nz is None:
+            hub_nz = neighbour_zs(hub)
+        nz = neighbour_zs(w)
+        if nz < hub_nz:
+            return False
+        if nz == hub_nz:
+            rivals.append(w)
+    if not rivals:
+        return True
+    key = rooted_key(g, hub)
+    return all(key <= rooted_key(g, w) for w in rivals)
 
 
 def min_degree_extend(
@@ -350,7 +418,10 @@ def min_degree_extend(
     cap = target.e if e_max is None else e_max
     if d > k_in:
         return {}
-    task = ExtensionTask(k=k_in, d=d, e_max=cap, d_min=d)
+    # a degree-d vertex of a minimum-degree-d output has Z >= d*d, so every
+    # one of them is covered by the inputs
+    task = ExtensionTask(k=k_in, d=d, e_max=cap, d_min=d,
+                         cover=((d, cap - d * d),))
     out: dict = {}
     for h in inputs:
         if h.n != target.n - d - 1:

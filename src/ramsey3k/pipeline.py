@@ -92,12 +92,19 @@ class JobManifest:
 
     def task_for(self, degree: int) -> ExtensionTask:
         toggles = {f"prune_{name}": False for name in self.no_prune}
+        # a certified plan's input rows cover every output, which is what
+        # lets a leaf be kept only from its canonical covered vertex
+        cover = ()
+        if self.certified and self.plan is not None:
+            cover = tuple((r.degree, r.ceiling) for r in self.plan.rows
+                          if r.increment > 0)
         return ExtensionTask(
             k=self.target_k - 1,
             d=degree,
             e_max=self.e_max,
             d_min=self.d_min,
             delta_max=self.delta_max,
+            cover=cover,
             **toggles,
         )
 
@@ -148,6 +155,13 @@ class JobManifest:
             raise ManifestError(
                 f"unknown pruning rule(s) {unknown}; known: {PRUNE_NAMES}")
         manifest = cls(inputs=inputs, **fields)
+        k = manifest.target_k - 1
+        cap = k if manifest.delta_max is None else manifest.delta_max
+        if not manifest.d_min <= cap <= k:
+            raise ManifestError(
+                f"{path}: need d_min <= delta_max <= target_k - 1, got "
+                f"d_min={manifest.d_min}, delta_max={cap}, "
+                f"target_k={manifest.target_k}")
         if plan_rows:
             manifest.plan = ClosurePlan(manifest.target_k, manifest.n,
                                         manifest.e_max, plan_rows)

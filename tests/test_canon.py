@@ -4,10 +4,10 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramsey3k.canon import canonical_form, canonical_with_automorphisms
+from ramsey3k.canon import canonical_form, canonical_with_automorphisms, rooted_key
 from ramsey3k.graphs import Graph, decode_graph6
 
-from conftest import cycle, petersen, random_graph
+from conftest import cycle, path, petersen, random_graph, random_triangle_free
 
 
 def test_relabelled_c5_equal():
@@ -92,3 +92,55 @@ def test_automorphism_generators_are_automorphisms(rng):
         _, gens = canonical_with_automorphisms(g)
         for sigma in gens:
             assert g.permuted(list(sigma)) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rooted_key_relabelling_invariant(data):
+    n = data.draw(st.integers(0, 9))
+    edges = data.draw(st.sets(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+        .map(lambda p: (min(p), max(p))).filter(lambda p: p[0] != p[1]),
+        max_size=n * 2))
+    g = Graph.from_edges(n, edges)
+    perm = list(data.draw(st.permutations(range(n))))
+    h = g.permuted(perm)
+    for v in range(n):
+        assert rooted_key(g, v) == rooted_key(h, perm[v])
+
+
+def test_rooted_key_petersen_and_path():
+    pet = petersen()
+    assert len({rooted_key(pet, v) for v in range(10)}) == 1
+    p5 = path(5)
+    keys = [rooted_key(p5, v) for v in range(5)]
+    assert keys[0] == keys[4] and keys[1] == keys[3]
+    assert len({keys[0], keys[1], keys[2]}) == 3
+
+
+def test_rooted_key_classes_are_orbits(rng):
+    # equal keys exactly for vertices in one orbit of the full automorphism
+    # group, found here by trying every permutation
+    for _ in range(12):
+        g = random_graph(6, 0.4, rng)
+        orbit_of = {v: {v} for v in range(6)}
+        for p in permutations(range(6)):
+            if g.permuted(list(p)) == g:
+                for v in range(6):
+                    orbit_of[v].add(p[v])
+        for v in range(6):
+            for w in range(6):
+                assert (rooted_key(g, v) == rooted_key(g, w)) == \
+                    (w in orbit_of[v])
+
+
+def test_large_triangle_free_relabelling(rng):
+    for _ in range(20):
+        n = rng.randrange(16, 36)
+        g = random_triangle_free(n, rng.uniform(0.05, 0.4), rng)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = g.permuted(perm)
+        assert canonical_form(g) == canonical_form(h)
+        for v in rng.sample(range(n), 3):
+            assert rooted_key(g, v) == rooted_key(h, perm[v])

@@ -121,16 +121,28 @@ def test_extend_runs_manifest(tmp_path):
     assert canonical_form(cycle(5)) in store.forms()
 
 
-def test_extend_no_prune_automorphic_same_store(tmp_path):
+def _default_and_rule_off_stores(tmp_path, rule, box):
     from test_pipeline import oracle_manifest
     stores = []
-    for name, extra in [("default", []), ("off", ["--no-prune", "automorphic"])]:
+    for name, extra in [("default", []), ("off", ["--no-prune", rule])]:
         run_dir = tmp_path / name
         run_dir.mkdir()
         out = str(run_dir / "out.g6")
-        assert main(["extend", "--manifest", oracle_manifest(run_dir, 4, 8, 12),
+        assert main(["extend", "--manifest", oracle_manifest(run_dir, *box),
                      "--out", out, "--workers", "1"] + extra) == 0
         stores.append(open(out, "rb").read())
+    return stores
+
+
+def test_extend_no_prune_automorphic_same_store(tmp_path):
+    stores = _default_and_rule_off_stores(tmp_path, "automorphic", (4, 8, 12))
+    assert stores[0] == stores[1]
+
+
+def test_extend_no_prune_canonical_same_store(tmp_path):
+    # five degree rows, each of which emits graphs that other rows emit too
+    # when the rule is off
+    stores = _default_and_rule_off_stores(tmp_path, "canonical", (5, 9, 14))
     assert stores[0] == stores[1]
 
 
@@ -146,9 +158,13 @@ BOX = "target_k=3\nn=5\ne_max=5\ncertified=1\n"
     (BOX + "regular=1\n", "regular"),
     (BOX + "shard_size=-1\n", "shard_size"),
     ("target_k=3\nn=5\ne_max=5\ncertified=0\n", "certificate"),
+    ("target_k=4\nn=5\ne_max=5\nd_min=5\ncertified=1\n", "d_min"),
+    (BOX + "delta_max=3\n", "delta_max"),
+    (BOX + "d_min=2\ndelta_max=1\n", "d_min <= delta_max"),
 ], ids=["missing-key", "not-an-integer", "malformed-input", "malformed-plan",
         "unknown-key-done", "unknown-key-regular", "nonpositive-shard-size",
-        "uncertified"])
+        "uncertified", "d-min-above-window", "delta-max-above-window",
+        "d-min-above-delta-max"])
 def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
     manifest = tmp_path / "m.manifest"
     manifest.write_text(text)

@@ -3,10 +3,11 @@ import gc
 
 import pytest
 
-from ramsey3k.canon import canonical_form
+from ramsey3k.canon import canonical_form, rooted_key
 from ramsey3k.extend import (
     ExtensionTask,
     StructuralRule,
+    _hub_canonical,
     edge_removal_closure,
     glue_extend,
     is_maximal_triangle_free,
@@ -22,8 +23,10 @@ from ramsey3k.graphs import (
 )
 from ramsey3k.oracle import brute_force_graphs, naive_mtf_set
 
-from conftest import cycle, path, petersen
+from conftest import cycle, path, petersen, random_triangle_free
 
+# prune_canonical is left out: it is neutral per store, not per host, and is
+# checked at store level in test_pipeline.py and test_cli.py
 PRUNE_FIELDS = ("prune_pair", "prune_forbidden", "prune_ascending",
                 "prune_edge_bound", "prune_automorphic", "prune_union")
 
@@ -123,6 +126,42 @@ class TestPruningNeutrality:
         # no host fits a table of order -1: every query goes to branch and bound
         monkeypatch.setattr("ramsey3k.extend.TABLE_MAX_ORDER", -1)
         assert outputs() == want
+
+
+class TestCanonicalHub:
+    def accepted_hubs(self, g, ceilings):
+        """Vertices v whose copy of g with v moved last passes the test."""
+        accepted = []
+        for v in range(g.n):
+            perm = list(range(g.n))
+            perm[v], perm[-1] = perm[-1], perm[v]
+            if _hub_canonical(g.permuted(perm), g.edge_count(), ceilings):
+                accepted.append(v)
+        return accepted
+
+    def test_exactly_one_orbit_accepted(self, rng):
+        # the (3,5;10,<=14) members include vertices that tie on the
+        # invariant without sharing an orbit, so the rooted key decides
+        graphs = [petersen(), path(7), cycle(8)]
+        graphs += brute_force_graphs(10, 5, 14).values()
+        graphs += [random_triangle_free(rng.randrange(6, 13), 0.4, rng)
+                   for _ in range(40)]
+        for g in graphs:
+            # every vertex covered: the ceiling e(G) bounds any e(G) - Z(v)
+            ceilings = {g.degree(v): g.edge_count() for v in range(g.n)}
+            accepted = self.accepted_hubs(g, ceilings)
+            keys = {rooted_key(g, v) for v in accepted}
+            assert len(keys) == 1, g
+            orbit = [v for v in range(g.n) if rooted_key(g, v) in keys]
+            assert accepted == orbit, g
+
+    def test_uncovered_vertices_do_not_compete(self):
+        # the path's ends have the smallest invariant, but with only degree 2
+        # covered the canonical degree-2 hubs are the second and second-last
+        # vertices
+        g = path(6)
+        accepted = self.accepted_hubs(g, {2: g.edge_count()})
+        assert [v for v in accepted if g.degree(v) == 2] == [1, 4]
 
 
 def test_search_state_freed_without_collector():

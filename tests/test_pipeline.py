@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from ramsey3k import data, pipeline
+from ramsey3k import data, extend, pipeline
 from ramsey3k.canon import canonical_form
 from ramsey3k.degseq import EXACT, INFINITE, plan_closure
 from ramsey3k.graphs import Graph, GraphFormatError, encode_graph6
@@ -171,6 +171,54 @@ class TestManifest:
             run_manifest(path, str(tmp_path / "x.g6"))
 
 
+def _parts_by_degree(out: str) -> dict:
+    parts: dict = {}
+    for name in os.listdir(out + ".parts"):
+        degree = int(name[1:name.index("_")])
+        parts.setdefault(degree, set()).update(open(
+            os.path.join(out + ".parts", name)).read().split())
+    return parts
+
+
+class TestCanonicalRule:
+    """Leaves are kept only from the canonical covered hub; the rule is
+    output-neutral per store, not per host."""
+
+    def test_task_cover_from_certified_plan(self, tmp_path):
+        m = JobManifest.read(oracle_manifest(tmp_path, 4, 7, 9))
+        assert m.task_for(2).cover == ((2, 3), (3, 1))
+        m.certified = False
+        assert m.task_for(2).cover == ()
+
+    def test_degree_rows_disjoint(self, tmp_path):
+        path = oracle_manifest(tmp_path, 5, 9, 14)
+        out = str(tmp_path / "out.g6")
+        store = run_manifest(path, out, workers=1)
+        parts = _parts_by_degree(out)
+        assert len(parts) == 5
+        assert sum(len(forms) for forms in parts.values()) == len(store)
+        assert set().union(*parts.values()) == store.forms()
+
+    def test_fewer_leaves_labelled(self, tmp_path, monkeypatch):
+        labelled = []
+
+        def counting_form(g):
+            labelled.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr(extend, "canonical_form", counting_form)
+        path = oracle_manifest(tmp_path, 4, 7, 9)
+        run_manifest(path, str(tmp_path / "on.g6"), workers=1)
+        on = len(labelled)
+        m = JobManifest.read(path)
+        m.no_prune = ("canonical",)
+        m.write(path)
+        labelled.clear()
+        run_manifest(path, str(tmp_path / "off.g6"), workers=1)
+        assert on < len(labelled)
+        assert open(tmp_path / "on.g6").read() == open(tmp_path / "off.g6").read()
+
+
 class TestBootstrap:
     def test_small_values(self, tmp_path):
         bs = Bootstrap(str(tmp_path / "bs"))
@@ -184,6 +232,12 @@ class TestBootstrap:
         st = bs.store(4, 8, 12)
         assert st.complete
         assert st.forms() == set(brute_force_graphs(8, 4, 12))
+
+    @pytest.mark.parametrize("n, e", [(9, 14), (10, 20)])
+    def test_k5_store_matches_oracle(self, tmp_path, n, e):
+        st = Bootstrap(str(tmp_path / "bs")).store(5, n, e)
+        assert st.complete
+        assert st.forms() == set(brute_force_graphs(n, 5, e))
 
     def test_disk_cache_reused(self, tmp_path):
         root = str(tmp_path / "bs")
