@@ -23,7 +23,8 @@ from .degseq import (
     r_upper,
 )
 from .extend import edge_removal_closure, is_maximal_triangle_free
-from .graphs import CapacityError, Graph, decode_graph6
+from .graphs import (CapacityError, Graph, GraphFormatError,
+                     MembershipError, decode_graph6)
 from .oracle import (
     ORACLE_CAP,
     add_edge_closure_check,
@@ -32,7 +33,7 @@ from .oracle import (
     verify_minimality,
 )
 from .pipeline import PRUNE_NAMES, JobManifest, ManifestError, run_manifest
-from .store import GraphStore, read_lines, render_count_table
+from .store import GraphStore, StoreError, read_lines, render_count_table
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -264,6 +265,12 @@ def main(argv=None) -> int:
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except GraphFormatError as exc:
+        print(f"bad graph6 input: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (StoreError, MembershipError) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ independent and the u_i are pairwise non-adjacent), so the search is only
 about keeping the independence number below k+1 while meeting the edge and
 degree windows.  Seven prunings cut the recursion and the leaves:
 
-  * pair test      -- candidate S against each assigned S_j: if the rest of
-                      H still holds an independent set of order k-1, the
-                      pair already forces an independent (k+1)-set;
+  * pair test      -- S and an assigned S_j force an independent (k+1)-set
+                      when the rest of H holds an independent (k-1)-set;
+                      the compatibility row of S answers it for every S_j;
   * forbidden      -- vertices whose degree reached the output cap reject
                       every set containing them;
   * ascending      -- sets are assigned in non-decreasing (order, mask)
@@ -54,6 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from .canon import canonical_form, canonical_with_automorphisms, rooted_key
 from .graphs import (
@@ -201,28 +203,43 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
                 return False
         return True
 
-    # pairwise compatibility of sets, computed once per (unordered) pair:
-    # a pair is dead when the rest of H still holds a (k-1)-independent set
-    pair_cache: dict = {}
+    # set lists are bitmasks over set indices; contains[w]: the sets with w
+    contains = [sum(1 << i for i, s in enumerate(sets) if s >> w & 1)
+                for w in range(m)]
 
-    def pair_ok(a: int, b: int) -> bool:
-        key = (a, b) if a <= b else (b, a)
-        v = pair_cache.get(key)
-        if v is None:
-            v = not alpha_ge(full & ~(sets[a] | sets[b]), k - 1)
-            pair_cache[key] = v
-        return v
+    # compat[a]: the sets b that pass the pair test with a; built on first use
+    compat: list = [None] * len(sets)
+    set_array = np.array(sets, dtype=np.int64)
+
+    def compat_row(a: int) -> int:
+        row = compat[a]
+        if row is None:
+            if table is not None:
+                cells = np.frombuffer(table.cells, dtype=np.uint8)
+                ok = cells[full & ~(set_array | sets[a])] < k - 1
+                row = int.from_bytes(
+                    np.packbits(ok, bitorder="little").tobytes(), "little")
+            else:  # ascending assignment reads no bit below a; those stay 0
+                first = a if task.prune_ascending else 0
+                row = sum(1 << b for b in range(first, len(sets))
+                          if not alpha_ge(full & ~(sets[a] | sets[b]), k - 1))
+            compat[a] = row
+        return row
 
     assigned: list = []
 
-    def descend(eligible: list, prefix: tuple, union: int, degs: list,
-                forbidden: int, size_sum: int):
+    def descend(eligible: int, prefix: tuple, union: int, degs: list,
+                forb_sets: int, size_sum: int):
         i = len(assigned)
         if i == d:
             _accept(H, assigned, task, out, alpha_ge, degs, e_h + d + size_sum)
             return
         remaining = d - i
-        for pos, idx in enumerate(eligible):
+        scan = eligible  # the upward scan visits sets in (order, mask) order
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            idx = low.bit_length() - 1
             s = sets[idx]
             sz = orders[idx]
             if task.prune_edge_bound:
@@ -240,7 +257,7 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
             new_degs = degs[:]
             mm = s
             dead = False
-            new_forbidden = forbidden
+            new_forb = forb_sets
             while mm:
                 w = (mm & -mm).bit_length() - 1
                 mm &= mm - 1
@@ -250,37 +267,34 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
                     break
                 new_degs[w] = nd
                 if nd == cap:
-                    new_forbidden |= 1 << w
+                    new_forb |= contains[w]
             if dead:
                 continue
             new_prefix = tuple(sorted(prefix + (idx,)))
             if not prefix_minimal(new_prefix):
                 continue
-            # the last neighbor leads straight to the leaf test: no child list
-            child = []
+            # the next neighbor may reuse this set, so the child list keeps
+            # the current position when assigning in ascending order
+            child = eligible >> idx << idx if task.prune_ascending else eligible
+            # the last neighbor leads straight to the leaf test: no filtering
             if remaining > 1:
-                # the next neighbor may reuse this set, so the child list
-                # keeps the current position when assigning in ascending order
-                base_list = eligible[pos:] if task.prune_ascending else eligible
-                for idx2 in base_list:
-                    if task.prune_forbidden and sets[idx2] & new_forbidden:
-                        continue
-                    if task.prune_pair and not pair_ok(idx, idx2):
-                        continue
-                    child.append(idx2)
+                if task.prune_forbidden:
+                    child &= ~new_forb
+                if task.prune_pair:
+                    child &= compat_row(idx)
                 if not child:
                     continue  # no eligible sets left for the other neighbors
             assigned.append(s)
-            descend(child, new_prefix, new_union, new_degs, new_forbidden,
+            descend(child, new_prefix, new_union, new_degs, new_forb,
                     size_sum + sz)
             assigned.pop()
 
-    forb0 = _initial_forbidden(deg0, cap)
-    root = [idx for idx in range(len(sets))
-            if not (task.prune_forbidden and sets[idx] & forb0)]
+    at_cap = sum(1 << w for w in range(m) if deg0[w] >= cap)
+    forb0 = sum(1 << i for i, s in enumerate(sets) if s & at_cap)
+    root = ((1 << len(sets)) - 1) & ~(forb0 if task.prune_forbidden else 0)
     descend(root, (), 0, deg0, forb0, 0)
     # descend refers to itself through its closure cell; breaking that cycle
-    # frees the sets, caches and table now instead of at the next collection
+    # frees the sets, rows and table now instead of at the next collection
     del descend
     return out
 
@@ -293,14 +307,6 @@ def _image(mask: int, sigma) -> int:
         mask &= mask - 1
         img |= 1 << sigma[w]
     return img
-
-
-def _initial_forbidden(degs, cap: int) -> int:
-    forb = 0
-    for w, dg in enumerate(degs):
-        if dg >= cap:
-            forb |= 1 << w
-    return forb
 
 
 def _assemble(H: Graph, assigned) -> Graph:

@@ -28,8 +28,8 @@ class StoreError(ValueError):
 
 
 def write_lines(path: str, lines) -> None:
-    """Replace ``path`` with the LF-terminated lines: they go to a temp
-    file, which is flushed and fsynced before it is renamed over ``path``."""
+    """Replace ``path`` durably with the LF-terminated lines: a fsynced temp
+    file is renamed over it, and the directory is fsynced after the rename."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         for line in lines:
@@ -37,6 +37,11 @@ def write_lines(path: str, lines) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def read_lines(path: str) -> list:

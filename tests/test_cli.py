@@ -173,3 +173,43 @@ def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert err.startswith("manifest error:") and key in err
     assert "Traceback" not in err
+
+
+def _store_with_bad_line(tmp_path):
+    path = str(tmp_path / "s.g6")
+    with open(path, "w") as fh:
+        fh.write(encode_graph6(cycle(5)) + "\nnot graph6\n")
+    return path
+
+
+def _store_with_wrong_total(tmp_path):
+    path = str(tmp_path / "s.g6")
+    store = GraphStore(3, 5)
+    store.add(cycle(5))
+    store.write(path)
+    meta = open(path + ".meta").read().replace("total=1", "total=2")
+    with open(path + ".meta", "w") as fh:
+        fh.write(meta)
+    return path
+
+
+def _mtf_with_triangle(tmp_path):
+    path = str(tmp_path / "mtf.g6")
+    with open(path, "w") as fh:
+        fh.write(encode_graph6(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+                 + "\n")
+    return path
+
+
+@pytest.mark.parametrize("make, argv, code", [
+    (_store_with_bad_line, ["verify", "--k", "3", "--store"], 2),
+    (_store_with_wrong_total, ["verify", "--k", "3", "--store"], 1),
+    (_mtf_with_triangle, ["closure", "--k", "3", "--out", "o.g6", "--mtf"], 1),
+    (_store_with_bad_line, ["count", "--store"], 2),
+], ids=["verify-bad-line", "verify-total-mismatch", "closure-triangle",
+        "count-bad-line"])
+def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [make(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1

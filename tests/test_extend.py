@@ -21,6 +21,7 @@ from ramsey3k.graphs import (
     local_subgraph,
     validate_member,
 )
+from ramsey3k.indepcache import TABLE_MAX_ORDER, independent_sets
 from ramsey3k.oracle import brute_force_graphs, naive_mtf_set
 
 from conftest import cycle, path, petersen, random_triangle_free
@@ -126,6 +127,25 @@ class TestPruningNeutrality:
         # no host fits a table of order -1: every query goes to branch and bound
         monkeypatch.setattr("ramsey3k.extend.TABLE_MAX_ORDER", -1)
         assert outputs() == want
+
+    def test_multiword_set_masks(self, monkeypatch):
+        # C13(1,5) minus a vertex is a (3,5;12)-member with 144 independent
+        # sets of order <= 4, so set masks span several machine words and
+        # the packed compatibility rows cross byte boundaries
+        c13 = Graph.from_edges(13, [(i, (i + j) % 13) for i in range(13)
+                                    for j in (1, 5)])
+        host = c13.induced((1 << 12) - 1)
+        task = ExtensionTask(k=5, d=3, e_max=36)
+        assert len(independent_sets(host, 0, 4)) > 64
+        want = set(glue_extend(host, task))
+        assert want
+        # a cap of -1 leaves the compatibility rows to branch and bound
+        for table_cap in (TABLE_MAX_ORDER, -1):
+            monkeypatch.setattr("ramsey3k.extend.TABLE_MAX_ORDER", table_cap)
+            assert set(glue_extend(host, task)) == want
+            for field in PRUNE_FIELDS:
+                off = dataclasses.replace(task, **{field: False})
+                assert set(glue_extend(host, off)) == want, (table_cap, field)
 
 
 class TestCanonicalHub:

@@ -79,11 +79,16 @@ class TestIndependenceTable:
         with pytest.raises(CapacityError):
             build_independence_table(Graph.empty(TABLE_MAX_ORDER + 1), k=3, d=2)
 
-    def test_fill_order_independent(self, rng):
-        # shuffling which base set expands first cannot matter: cells are
-        # write-once per order level, larger orders first
-        g = random_triangle_free(8, 0.3, rng)
-        k = independence_number(g) + 1
-        t1 = build_independence_table(g, k, min(3, k - 1))
-        t2 = build_independence_table(g, k, min(3, k - 1))
-        assert bytes(t1.cells) == bytes(t2.cells)
+    def test_every_subset_against_brute_force(self, rng):
+        # every cell of every valid band, on triangle-free graphs of order
+        # 0..12, against the independence number of the induced subgraph
+        for n in range(13):
+            g = random_triangle_free(n, rng.choice([0.2, 0.4, 0.7]), rng)
+            alphas = [brute_alpha_subset(g, mask) for mask in range(1 << n)]
+            for k in range(max(alphas) + 1, n + 3):
+                for d in range(1, k + 1):
+                    t = build_independence_table(g, k, d)
+                    assert type(t.cells) is bytearray
+                    want = bytes(min(a, k - 1) if a >= k + 1 - d else 0
+                                 for a in alphas)
+                    assert bytes(t.cells) == want, (n, k, d)

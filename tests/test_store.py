@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 from ramsey3k.canon import canonical_form
@@ -120,6 +123,18 @@ class TestLineFiles:
             write_lines(path, cut_short())
         assert open(path).read() == "a\nb\n"
         assert read_lines(path) == ["a", "b"]
+
+    def test_rename_made_durable(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        write_lines(str(tmp_path / "f"), ["a"])
+        assert synced.count(True) == 1
 
     def test_read_records(self, tmp_path):
         path = str(tmp_path / "f")
