@@ -12,9 +12,6 @@ import sys
 
 from . import data
 from .degseq import (
-    EXACT,
-    INFINITE,
-    ClosurePlan,
     EdgeBoundTable,
     closure_sufficiency_check,
     feasible_sequences,
@@ -23,10 +20,9 @@ from .degseq import (
     r_upper,
 )
 from .extend import edge_removal_closure, is_maximal_triangle_free
-from .graphs import (CapacityError, Graph, GraphFormatError,
-                     MembershipError, decode_graph6)
+from .graphs import (CapacityError, GraphFormatError, MembershipError,
+                     decode_graph6)
 from .oracle import (
-    ORACLE_CAP,
     add_edge_closure_check,
     brute_force_graphs,
     gv_consistency_check,
@@ -43,8 +39,13 @@ CAPACITY_ERROR = 3
 def _load_table(path: str | None, max_level: int = 10) -> EdgeBoundTable:
     table = data.builtin_table(max_level)
     if path:
-        with open(path) as fh:
-            table.merge(EdgeBoundTable.from_csv(fh.read()), overwrite=True)
+        try:
+            with open(path) as fh:
+                table.merge(EdgeBoundTable.from_csv(fh.read()), overwrite=True)
+        except ValueError as exc:
+            print(f"ramsey3k: error: bad bound table {path}: {exc}",
+                  file=sys.stderr)
+            sys.exit(USAGE_ERROR)
     return table
 
 
@@ -131,9 +132,6 @@ def cmd_closure(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.n > ORACLE_CAP:
-        print(f"oracle capped at n={ORACLE_CAP}", file=sys.stderr)
-        return CAPACITY_ERROR
     found = brute_force_graphs(args.n, args.k, args.e_max)
     store = GraphStore(args.k, args.n, 0, args.e_max, complete=True,
                        certificate="brute force")

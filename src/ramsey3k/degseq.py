@@ -68,9 +68,9 @@ class EdgeBoundTable:
 
     def set(self, k: int, n: int, entry: BoundEntry) -> None:
         first_inf = self._first_infinite.get(k)
-        if entry.kind != INFINITE and first_inf is not None and n > first_inf:
+        if entry.kind != INFINITE and first_inf is not None and n >= first_inf:
             raise ValueError(
-                f"finite entry ({k},{n}) above infinite boundary {first_inf}")
+                f"finite entry ({k},{n}) at or above infinite boundary {first_inf}")
         self.entries[(k, n)] = entry
         if entry.kind == INFINITE:
             if first_inf is None or n < first_inf:
@@ -442,13 +442,8 @@ class ClosureCheck:
 def _feasible_rows(k_plus_1: int, n: int, table: EdgeBoundTable) -> list:
     """(degree i, m = n-i-1, e(3,k,m)) for every degree whose local
     subgraph order has a finite edge bound."""
-    k = k_plus_1 - 1
-    rows = []
-    for i in range(0, min(k_plus_1, n)):
-        entry = table.entry(k, n - i - 1)
-        if entry.kind != INFINITE:
-            rows.append((i, n - i - 1, entry.value))
-    return rows
+    degrees, costs = _degree_costs(k_plus_1, n, table)
+    return [(i, n - i - 1, costs[i] - i * i) for i in degrees]
 
 
 def closure_sufficiency_check(
@@ -564,8 +559,8 @@ def propagate_bounds(
         if k - 1 >= 1:
             # make sure the closed-form exact range below is materialized
             _fill_closed_level(result, k - 1)
+        _fill_closed_level(result, k)
         n = 0
-        exact_top = closed_form_max_n(k)
         while True:
             if result.has(k, n):
                 if result.is_infinite(k, n):
@@ -573,10 +568,6 @@ def propagate_bounds(
                 n += 1
                 continue
             cf = closed_form_e(k, n)
-            if n <= exact_top and cf.kind == EXACT:
-                result.set(k, n, cf)
-                n += 1
-                continue
             solved = min_edge_bound(k, n, result)
             if solved.kind == INFINITE:
                 result.set(k, n, BoundEntry(INFINITE, provenance="propagated"))

@@ -316,16 +316,7 @@ def find_triangle(g: Graph) -> Optional[tuple]:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    adj = g.adj
-    for v in range(g.n):
-        row = adj[v]
-        m = row >> (v + 1) << (v + 1)
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if row & adj[u]:
-                return False
-    return True
+    return find_triangle(g) is None
 
 
 def independence_number(g: Graph, stop_at: Optional[int] = None) -> int:
@@ -392,12 +383,6 @@ def find_independent_set(g: Graph, size: int) -> Optional[int]:
     return m
 
 
-def alpha_at_least(g: Graph, size: int) -> bool:
-    if size <= 0:
-        return True
-    return _alpha(g.adj, (1 << g.n) - 1, size)[0] >= size
-
-
 def validate_member(g: Graph, k: int) -> ClassParams:
     """Accept g as a (3,k)-class member or raise MembershipError.
 
@@ -410,13 +395,10 @@ def validate_member(g: Graph, k: int) -> ClassParams:
     tri = find_triangle(g)
     if tri is not None:
         raise MembershipError(f"triangle {tri}", "triangle", tri)
-    got, mask = _alpha(g.adj, (1 << g.n) - 1, k)
-    if got >= k:
-        m = mask
-        while m.bit_count() > k:
-            m &= m - 1
+    witness = find_independent_set(g, k)
+    if witness is not None:
         raise MembershipError(
-            f"independent set of order {k}", "independent-set", m)
+            f"independent set of order {k}", "independent-set", witness)
     return ClassParams(k, g.n, g.edge_count())
 
 

@@ -16,7 +16,6 @@ from .graphs import (
     CapacityError,
     Graph,
     _alpha,
-    alpha_at_least,
     local_subgraph,
     validate_member,
 )
@@ -118,8 +117,7 @@ def verify_minimality(g: Graph, k: int) -> bool:
     full = (1 << g.n) - 1
     for (a, b) in g.edges():
         rest = full & ~(g.adj[a] | g.adj[b])
-        sub = g.induced(rest)
-        if not alpha_at_least(sub, k - 2):
+        if _alpha(g.adj, rest, k - 2)[0] < k - 2:
             return False
     return True
 

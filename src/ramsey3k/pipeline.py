@@ -4,11 +4,13 @@ bottom of the hierarchy.
 
 A manifest binds one target class box to per-degree input files plus the
 closure plan certifying that those inputs suffice.  Shards are processed
-independently and idempotently, and a shard is finished exactly when its
-part file exists: a run computes only the missing parts and never writes
-its manifest, so an interrupted run resumes without recomputation and the
-merged output is byte-identical regardless of worker count or
-interruption points.  Every file is read and written through ``store``.
+independently and idempotently.  A part file is named by its shard and a
+hash of the task and input lines it was computed from; a run deletes every
+part no current shard names, computes only the missing ones and never
+writes its manifest, so an interrupted run resumes without recomputation,
+a stale part is never trusted, and the merged output is byte-identical
+regardless of worker count or interruption points.  Every file is read and
+written through ``store``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import hashlib
 import math
 import multiprocessing
 import os
-import shutil
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +31,6 @@ from .degseq import (
     ClosurePlan,
     EdgeBoundTable,
     PlanRow,
-    closure_sufficiency_check,
     min_edge_bound,
     plan_closure,
 )
@@ -155,16 +155,13 @@ class JobManifest:
             raise ManifestError(
                 f"unknown pruning rule(s) {unknown}; known: {PRUNE_NAMES}")
         manifest = cls(inputs=inputs, **fields)
-        k = manifest.target_k - 1
-        cap = k if manifest.delta_max is None else manifest.delta_max
-        if not manifest.d_min <= cap <= k:
-            raise ManifestError(
-                f"{path}: need d_min <= delta_max <= target_k - 1, got "
-                f"d_min={manifest.d_min}, delta_max={cap}, "
-                f"target_k={manifest.target_k}")
         if plan_rows:
             manifest.plan = ClosurePlan(manifest.target_k, manifest.n,
                                         manifest.e_max, plan_rows)
+        try:
+            manifest.task_for(0)  # the task checks the degree window
+        except ValueError as exc:
+            raise ManifestError(f"{path}: {exc}") from None
         return manifest
 
 
@@ -194,39 +191,44 @@ def run_manifest(
     parts_dir = out_path + ".parts"
     os.makedirs(parts_dir, exist_ok=True)
 
-    shards = []
+    shards = []   # (part path, input lines, task), in merge order
     for degree, path in manifest.inputs:
         if not os.path.exists(path):
             raise ManifestError(f"missing input file {path}")
         lines = read_lines(path)
+        task = manifest.task_for(degree)
         for idx in range(0, max(1, math.ceil(len(lines) / manifest.shard_size))):
             chunk = lines[idx * manifest.shard_size:(idx + 1) * manifest.shard_size]
-            shards.append((degree, idx, chunk))
+            shards.append((_part_path(parts_dir, task, idx, chunk), chunk, task))
+    current = {os.path.basename(part) for part, _, _ in shards}
+    for name in set(os.listdir(parts_dir)) - current:
+        os.remove(os.path.join(parts_dir, name))
 
-    pending = [(degree, idx, chunk) for degree, idx, chunk in shards
-               if not os.path.exists(_part_path(parts_dir, degree, idx))]
+    pending = [shard for shard in shards if not os.path.exists(shard[0])]
     nworkers = min(worker_count(workers), len(pending))
-    jobs = [(chunk, manifest.task_for(degree)) for degree, _, chunk in pending]
+    jobs = [(chunk, task) for _, chunk, task in pending]
     # each shard's part lands as soon as it returns, so an interrupted run
     # keeps every finished shard
     with (multiprocessing.Pool(nworkers) if nworkers > 1
           else contextlib.nullcontext()) as pool:
         results = pool.imap(_run_shard, jobs) if pool else map(_run_shard, jobs)
-        for (degree, idx, _), lines in zip(pending, results):
-            write_lines(_part_path(parts_dir, degree, idx), lines)
+        for (part, _, _), lines in zip(pending, results):
+            write_lines(part, lines)
 
     store = GraphStore(manifest.target_k, manifest.n, 0, manifest.e_max,
                        complete=manifest.certified,
                        certificate=_plan_hash(manifest.plan))
-    for degree, idx, _ in shards:
-        for line in read_lines(_part_path(parts_dir, degree, idx)):
+    for part, _, _ in shards:
+        for line in read_lines(part):
             store.add(decode_graph6(line), form=line)
     store.write(out_path)
     return store
 
 
-def _part_path(parts_dir: str, degree: int, idx: int) -> str:
-    return os.path.join(parts_dir, f"d{degree}_s{idx}.g6")
+def _part_path(parts_dir: str, task: ExtensionTask, idx: int, chunk: list) -> str:
+    """Shard ``idx``'s part file, keyed by the task and the chunk's lines."""
+    key = hashlib.sha256("\n".join([repr(task)] + chunk).encode()).hexdigest()
+    return os.path.join(parts_dir, f"d{task.d}_s{idx}_{key[:16]}.g6")
 
 
 def _plan_hash(plan: Optional[ClosurePlan]) -> str:
@@ -267,10 +269,6 @@ class Bootstrap:
         if self.table.has(k, n):
             entry = self.table.entry(k, n)
             return math.inf if entry.kind == INFINITE else entry.value
-        if k == 1:
-            result = 0 if n == 0 else math.inf
-            self._set_value(k, n, result)
-            return result
         if n == 0:
             self._set_value(k, n, 0)
             return 0
@@ -333,9 +331,6 @@ class Bootstrap:
             self.value(k - 1, n - 1 - i)
         plan = plan_closure(k, n, e_cap, self.table,
                             cost_model=self._cost_model(k - 1))
-        check = closure_sufficiency_check(k, n, e_cap, plan, self.table)
-        if not check.certified:
-            raise RuntimeError(f"plan for ({k};{n},<={e_cap}) failed its certificate")
         inputs = []
         for row in sorted(plan.rows, key=lambda r: r.degree):
             if row.increment <= 0:
@@ -347,9 +342,6 @@ class Bootstrap:
                 # file of its own yet
                 st.write(self.store_path(*box))
             inputs.append((row.degree, self.store_path(*box)))
-        # parts left in the root by an earlier run are recomputed, never
-        # trusted
-        shutil.rmtree(path + ".parts", ignore_errors=True)
         manifest = JobManifest(target_k=k, n=n, e_max=e_cap, inputs=inputs,
                                plan=plan, certified=True)
         manifest.write(path + ".manifest")

@@ -153,12 +153,20 @@ class GraphStore:
     def read(cls, path: str, check: bool = False) -> "GraphStore":
         meta = (dict(read_records(path + ".meta"))
                 if os.path.exists(path + ".meta") else {})
+
+        def number(key, default=None):
+            try:
+                return int(meta[key]) if key in meta else default
+            except ValueError:
+                raise StoreError(
+                    f"{path}.meta: malformed {key}={meta[key]!r}") from None
+
         store = cls(
-            k=int(meta.get("k", 0)),
-            n=int(meta.get("n", -1)),
-            e_min=int(meta.get("e_min", 0)),
-            e_max=int(meta["e_max"]) if "e_max" in meta else None,
-            complete=bool(int(meta.get("complete", 0))),
+            k=number("k", 0),
+            n=number("n", -1),
+            e_min=number("e_min", 0),
+            e_max=number("e_max"),
+            complete=bool(number("complete", 0)),
             certificate=meta.get("certificate", ""),
         )
         for line in read_lines(path):
@@ -167,7 +175,7 @@ class GraphStore:
                 store.n = g.n
                 store.e_max = g.n * (g.n - 1) // 2
             store.add(g, check=check and store.k >= 1)
-        if "total" in meta and int(meta["total"]) != len(store):
+        if "total" in meta and number("total") != len(store):
             raise StoreError(f"{path}: meta total {meta['total']} != {len(store)}")
         if "hash" in meta and meta["hash"] != store.content_hash():
             raise StoreError(

@@ -37,6 +37,23 @@ def test_etable_seed_file(tmp_path, capsys):
     assert table.bound_value(10, 39) == 155
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("k,n,kind,value,provenance\n3,6,exact,7,custom\n", "at or above"),
+    ("k,n,value\n", "must start with"),
+    ("k,n,kind,value,provenance\n3,x,exact,7,custom\n", "invalid literal"),
+], ids=["finite-at-boundary", "bad-header", "not-an-integer"])
+def test_etable_bad_seed_usage_error(tmp_path, capsys, text, reason):
+    seed = tmp_path / "t.csv"
+    seed.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["etable", "--k", "3", "--n-from", "4", "--n-to", "8",
+              "--seed", str(seed)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and reason in captured.err
+
+
 def test_degseq_listing(capsys):
     assert main(["degseq", "--k", "10", "--n", "42", "--e", "189",
                  "--dmin", "7", "--dmax", "9"]) == 0
@@ -161,10 +178,11 @@ BOX = "target_k=3\nn=5\ne_max=5\ncertified=1\n"
     ("target_k=4\nn=5\ne_max=5\nd_min=5\ncertified=1\n", "d_min"),
     (BOX + "delta_max=3\n", "delta_max"),
     (BOX + "d_min=2\ndelta_max=1\n", "d_min <= delta_max"),
+    (BOX + "e_max=-1\n", "edge cap"),
 ], ids=["missing-key", "not-an-integer", "malformed-input", "malformed-plan",
         "unknown-key-done", "unknown-key-regular", "nonpositive-shard-size",
         "uncertified", "d-min-above-window", "delta-max-above-window",
-        "d-min-above-delta-max"])
+        "d-min-above-delta-max", "negative-e-max"])
 def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
     manifest = tmp_path / "m.manifest"
     manifest.write_text(text)
@@ -193,6 +211,14 @@ def _store_with_wrong_total(tmp_path):
     return path
 
 
+def _store_with_malformed_meta(tmp_path):
+    path = _store_with_wrong_total(tmp_path)
+    meta = open(path + ".meta").read().replace("total=2", "total=x")
+    with open(path + ".meta", "w") as fh:
+        fh.write(meta)
+    return path
+
+
 def _mtf_with_triangle(tmp_path):
     path = str(tmp_path / "mtf.g6")
     with open(path, "w") as fh:
@@ -206,8 +232,9 @@ def _mtf_with_triangle(tmp_path):
     (_store_with_wrong_total, ["verify", "--k", "3", "--store"], 1),
     (_mtf_with_triangle, ["closure", "--k", "3", "--out", "o.g6", "--mtf"], 1),
     (_store_with_bad_line, ["count", "--store"], 2),
+    (_store_with_malformed_meta, ["count", "--store"], 1),
 ], ids=["verify-bad-line", "verify-total-mismatch", "closure-triangle",
-        "count-bad-line"])
+        "count-bad-line", "count-malformed-meta"])
 def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     monkeypatch.chdir(tmp_path)
     assert main(argv + [make(tmp_path)]) == code

@@ -301,6 +301,13 @@ class TestEdgeBoundTable:
         with pytest.raises(ValueError):
             t.set(5, 15, BoundEntry(EXACT, 3, "test"))
 
+    def test_finite_entry_at_boundary_rejected(self):
+        t = EdgeBoundTable()
+        t.set(3, 6, BoundEntry(INFINITE, provenance="test"))
+        with pytest.raises(ValueError, match="at or above"):
+            t.set(3, 6, BoundEntry(EXACT, 7, "test"))
+        assert t.is_infinite(3, 6) and t.first_infinite(3) == 6
+
     def test_implied_infinity(self):
         t = EdgeBoundTable()
         t.set(5, 14, BoundEntry(INFINITE, provenance="test"))

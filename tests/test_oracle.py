@@ -111,11 +111,14 @@ class TestVerifyMinimality:
 
     def test_agrees_with_direct_deletion(self):
         from ramsey3k.graphs import independence_number
-        for form, g in brute_force_graphs(8, 4, 11).items():
-            direct = all(
-                independence_number(g.remove_edge(u, v)) >= 4
-                for (u, v) in g.edges())
-            assert verify_minimality(g, 4) == direct
+        # the (3,2)-members are K0, K1 and K2
+        boxes = [(n, 2, None) for n in range(3)] + [(8, 4, 11)]
+        for n, k, e_max in boxes:
+            for g in brute_force_graphs(n, k, e_max).values():
+                direct = all(
+                    independence_number(g.remove_edge(u, v)) >= k
+                    for (u, v) in g.edges())
+                assert verify_minimality(g, k) == direct
 
 
 class TestAddEdgeClosure:

@@ -133,8 +133,9 @@ class TestManifest:
         with pytest.raises(GraphFormatError):
             run_manifest(path, out, workers=2)
         assert len(finished) >= 3
-        assert sorted(os.listdir(out + ".parts")) == sorted(
-            f"d{degree}_s{idx}.g6" for degree, idx in finished)
+        assert sorted(name.rsplit("_", 1)[0]
+                      for name in os.listdir(out + ".parts")) == sorted(
+            f"d{degree}_s{idx}" for degree, idx in finished)
         with open(last, "w") as fh:
             fh.write(good)
         run_manifest(path, out, workers=2)
@@ -145,6 +146,44 @@ class TestManifest:
         for suffix in ("", ".meta"):
             assert open(out + suffix).read() == \
                 open(str(serial / "out.g6") + suffix).read()
+
+    def test_rerun_after_edited_e_max_matches_fresh_run(self, tmp_path):
+        path = oracle_manifest(tmp_path, 4, 8, 12)
+        out = str(tmp_path / "out.g6")
+        assert len(run_manifest(path, out)) == 3
+        m = JobManifest.read(path)
+        m.e_max = 10
+        m.write(path)
+        fresh = str(tmp_path / "fresh.g6")
+        run_manifest(path, fresh)
+        assert len(run_manifest(path, out)) == 1
+        for suffix in ("", ".meta"):
+            assert open(out + suffix).read() == open(fresh + suffix).read()
+
+    def test_edited_input_reruns_only_its_shards(self, tmp_path, monkeypatch):
+        path = oracle_manifest(tmp_path, 4, 7, 9)
+        out = str(tmp_path / "out.g6")
+        run_manifest(path, out, workers=1)
+        degree, edited = JobManifest.read(path).inputs[0]
+        lines = open(edited).read().split()
+        assert len(lines) >= 2
+        with open(edited, "w") as fh:
+            fh.write("\n".join(lines[1:]) + "\n")
+        calls = []
+        run_shard = pipeline._run_shard
+
+        def counting(args):
+            calls.append(args)
+            return run_shard(args)
+
+        monkeypatch.setattr(pipeline, "_run_shard", counting)
+        rerun = run_manifest(path, out, workers=1)
+        assert [task.d for _, task in calls] == [degree]
+        assert calls[0][0] == lines[1:]
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert rerun.forms() == run_manifest(path, str(fresh / "out.g6"),
+                                             workers=1).forms()
 
     def test_uncertified_refused(self, tmp_path):
         path = oracle_manifest(tmp_path)
@@ -277,4 +316,28 @@ class TestBootstrap:
         st = bs.store(4, 8, 12)
         assert st.forms() == set(brute_force_graphs(8, 4, 12))
         assert bogus not in open(path).read().split()
+
+    def test_second_bootstrap_resumes_from_parts(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "bs")
+        path = Bootstrap(root).store_path(4, 8, 12)
+        Bootstrap(root).store(4, 8, 12)
+        written = [open(path + s, "rb").read() for s in ("", ".meta")]
+        parts = path + ".parts"
+        current = sorted(os.listdir(parts))
+        stale = os.path.join(parts, current[0].rsplit("_", 1)[0] + "_0.g6")
+        for junk in (stale, os.path.join(parts, current[0]) + ".tmp"):
+            with open(junk, "w") as fh:
+                fh.write(canonical_form(Graph.empty(8)) + "\n")
+        os.remove(path)
+        os.remove(path + ".meta")
+        calls = []
+        monkeypatch.setattr(pipeline, "_run_shard", calls.append)
+        Bootstrap(root).store(4, 8, 12)
+        assert calls == []
+        assert [open(path + s, "rb").read() for s in ("", ".meta")] == written
+        m = JobManifest.read(path + ".manifest")
+        keyed = sorted(os.path.basename(pipeline._part_path(
+            parts, m.task_for(degree), 0, open(p).read().split()))
+            for degree, p in m.inputs)
+        assert sorted(os.listdir(parts)) == keyed == current
 

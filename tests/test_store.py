@@ -79,6 +79,16 @@ class TestGraphStore:
         with pytest.raises(StoreError):
             GraphStore.read(path)
 
+    @pytest.mark.parametrize("key", ["k", "n", "e_max", "complete", "total"])
+    def test_malformed_meta_value(self, tmp_path, key):
+        path = str(tmp_path / "s.g6")
+        filled_store().write(path)
+        meta = [f"{key}=x" if line.startswith(f"{key}=") else line
+                for line in open(path + ".meta").read().splitlines()]
+        write_lines(path + ".meta", meta)
+        with pytest.raises(StoreError, match=f"s.g6.meta: malformed {key}="):
+            GraphStore.read(path)
+
     def test_swapped_member_detected(self, tmp_path):
         # another valid member of the same box, so only the hash can tell
         members = brute_force_graphs(8, 4, 12)
