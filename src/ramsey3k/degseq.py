@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +31,8 @@ PLAN_MAX_ROUNDS = 10000  # greedy increment rounds before plan_closure gives up
 
 class MissingBoundError(KeyError):
     """The table has no entry at all for a requested (k, n)."""
+
+    __str__ = Exception.__str__  # the message, without KeyError's quotes
 
 
 class InfiniteBoundError(ValueError):
@@ -481,30 +483,25 @@ def closure_sufficiency_check(
     return ClosureCheck(not survivors, survivors)
 
 
-def default_cost_model(m: int, edge_cap: int, base: int) -> float:
-    """Crude growth model for the count of input graphs at an edge cap."""
-    return 20.0 ** max(0, edge_cap - base + 1)
-
-
 def plan_closure(
     k_plus_1: int,
     n: int,
     e: int,
     table: EdgeBoundTable,
-    cost_model: Optional[Callable] = None,
 ) -> ClosurePlan:
     """Greedy increment selection until the closure certificate holds.
 
-    Each round raises the increment whose unit increase kills the most
-    surviving sequences per unit of estimated input cost, breaking ties
-    toward degrees near the average degree 2e/n.
+    This is the one planning rule: ``ramsey3k plan`` prints its plan and
+    ``Bootstrap`` certifies every level with it.  Input counts are modelled
+    as growing twentyfold per unit of increment, so raising degree i's
+    increment from t to t+1 costs 20^(t+1) - 20^t (20 from zero).  Each
+    round raises the increment that kills the most surviving sequences per
+    unit of that cost, breaking ties toward degrees near the average degree
+    2e/n.  Raises RuntimeError when no certified plan is found.
     """
-    if cost_model is None:
-        cost_model = default_cost_model
     feasible = _feasible_rows(k_plus_1, n, table)
     t = {i: 0 for i, _, _ in feasible}
     avg = 2.0 * e / n if n else 0.0
-    info = {i: (m, base) for i, m, base in feasible}
 
     def build_plan():
         plan = ClosurePlan(k_plus_1, n, e)
@@ -525,10 +522,8 @@ def plan_closure(
             mass = sum(sol.count(i) for sol in check.survivors)
             if mass == 0:
                 continue
-            m, base = info[i]
-            marginal = cost_model(m, base + t[i], base) - (
-                cost_model(m, base + t[i] - 1, base) if t[i] else 0.0)
-            score = (killed + 0.01 * mass) / max(marginal, 1e-9)
+            marginal = 20.0 ** (t[i] + 1) - (20.0 ** t[i] if t[i] else 0.0)
+            score = (killed + 0.01 * mass) / marginal
             key = (score, -abs(i - avg), -i)
             if best is None or key > best[0]:
                 best = (key, i)

@@ -244,8 +244,9 @@ def _plan_hash(plan: Optional[ClosurePlan]) -> str:
 
 class Bootstrap:
     """Derives minimum edge counts and complete (3,k;n,<=e)-stores level by
-    level, planning each run so its closure certificate guarantees
-    completeness.
+    level.  Each level runs on the plan ``plan_closure`` solves over the
+    values derived so far, the same plan ``ramsey3k plan`` prints for that
+    table, and its closure certificate guarantees completeness.
 
     Values are found by probing: generate at the solver lower bound, and
     raise the ceiling until the class is realized.  Everything is memoized
@@ -329,8 +330,7 @@ class Bootstrap:
         # ensure the level below is valued over the degree window
         for i in range(0, min(k, n)):
             self.value(k - 1, n - 1 - i)
-        plan = plan_closure(k, n, e_cap, self.table,
-                            cost_model=self._cost_model(k - 1))
+        plan = plan_closure(k, n, e_cap, self.table)
         inputs = []
         for row in sorted(plan.rows, key=lambda r: r.degree):
             if row.increment <= 0:
@@ -346,20 +346,3 @@ class Bootstrap:
                                plan=plan, certified=True)
         manifest.write(path + ".manifest")
         return run_manifest(path + ".manifest", path)
-
-    def _cost_model(self, k_in: int):
-        def cost(m: int, edge_cap: int, base: int) -> float:
-            known = None
-            for (kk, nn, cap), st in self._stores.items():
-                if (kk, nn) == (k_in, m) and cap >= edge_cap:
-                    known = sum(c for e, c in st.counts().items()
-                                if e <= edge_cap)
-                    break
-            if known is not None:
-                count = max(known, 1)
-            else:
-                count = 18.0 ** max(0, edge_cap - base + 1)
-            # glue work grows with the input order as well
-            return count * (1.6 ** m)
-        return cost
-

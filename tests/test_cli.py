@@ -1,5 +1,6 @@
 import pytest
 
+from ramsey3k import cli
 from ramsey3k.cli import main
 from ramsey3k.canon import canonical_form
 from ramsey3k.degseq import EdgeBoundTable
@@ -69,6 +70,18 @@ def test_plan_certifies(tmp_path, capsys):
     assert text.startswith("degree,m,base,increment,ceiling")
 
 
+def test_plan_without_certified_plan_exits_1(monkeypatch, capsys):
+    def no_plan(*args):
+        raise RuntimeError("no certified plan within 10000 rounds")
+
+    monkeypatch.setattr(cli, "plan_closure", no_plan)
+    assert main(["plan", "--k", "8", "--n", "25", "--e", "65"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ramsey3k: error: "
+                            "no certified plan within 10000 rounds\n")
+
+
 def test_oracle_closure_count_verify(tmp_path, capsys):
     mtf = str(tmp_path / "mtf.g6")
     with open(mtf, "w") as fh:
@@ -122,10 +135,9 @@ def test_usage_error_exit_code():
 
 def test_unknown_prune_rule(tmp_path):
     manifest = tmp_path / "m.manifest"
-    manifest.write_text("target_k=3\nn=5\ne_max=5\ncertified=1\n")
+    manifest.write_text("target_k=3\nn=5\ne_max=5\ncertified=1\nno_prune=bogus\n")
     assert main(["extend", "--manifest", str(manifest),
-                 "--out", str(tmp_path / "o.g6"),
-                 "--no-prune", "bogus"]) == 2
+                 "--out", str(tmp_path / "o.g6")]) == 2
 
 
 def test_extend_runs_manifest(tmp_path):
@@ -141,12 +153,19 @@ def test_extend_runs_manifest(tmp_path):
 def _default_and_rule_off_stores(tmp_path, rule, box):
     from test_pipeline import oracle_manifest
     stores = []
-    for name, extra in [("default", []), ("off", ["--no-prune", rule])]:
+    for name, no_prune in [("default", ""), ("off", rule)]:
         run_dir = tmp_path / name
         run_dir.mkdir()
+        manifest = oracle_manifest(run_dir, *box)
+        text = open(manifest).read()
+        assert "\nno_prune=\n" in text
+        with open(manifest, "w") as fh:
+            fh.write(text.replace("\nno_prune=\n", f"\nno_prune={no_prune}\n"))
+        before = open(manifest, "rb").read()
         out = str(run_dir / "out.g6")
-        assert main(["extend", "--manifest", oracle_manifest(run_dir, *box),
-                     "--out", out, "--workers", "1"] + extra) == 0
+        assert main(["extend", "--manifest", manifest,
+                     "--out", out, "--workers", "1"]) == 0
+        assert open(manifest, "rb").read() == before
         stores.append(open(out, "rb").read())
     return stores
 
@@ -227,16 +246,23 @@ def _mtf_with_triangle(tmp_path):
     return path
 
 
+TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
+
+
 @pytest.mark.parametrize("make, argv, code", [
     (_store_with_bad_line, ["verify", "--k", "3", "--store"], 2),
     (_store_with_wrong_total, ["verify", "--k", "3", "--store"], 1),
     (_mtf_with_triangle, ["closure", "--k", "3", "--out", "o.g6", "--mtf"], 1),
     (_store_with_bad_line, ["count", "--store"], 2),
     (_store_with_malformed_meta, ["count", "--store"], 1),
+    (None, ["plan"] + TABLE_GAP, 2),
+    (None, ["degseq"] + TABLE_GAP, 2),
+    (None, ["degseq", "--k", "5", "--n", "10", "--e", "20", "--dmax", "9"], 2),
 ], ids=["verify-bad-line", "verify-total-mismatch", "closure-triangle",
-        "count-bad-line", "count-malformed-meta"])
+        "count-bad-line", "count-malformed-meta", "plan-table-gap",
+        "degseq-table-gap", "degseq-dmax-above-window"])
 def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     monkeypatch.chdir(tmp_path)
-    assert main(argv + [make(tmp_path)]) == code
+    assert main(argv + ([make(tmp_path)] if make else [])) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1

@@ -278,6 +278,19 @@ class TestBootstrap:
         assert st.complete
         assert st.forms() == set(brute_force_graphs(n, 5, e))
 
+    def test_every_level_uses_the_printed_plan(self, tmp_path):
+        # the values Bootstrap derives equal the published ones, so each
+        # level must carry the plan `ramsey3k plan` prints for that box
+        root = tmp_path / "bs"
+        Bootstrap(str(root)).store(5, 10, 20)
+        table = data.builtin_table(10)
+        manifests = sorted(root.glob("*.manifest"))
+        assert len(manifests) >= 5
+        for path in manifests:
+            m = JobManifest.read(str(path))
+            assert m.plan.rows == plan_closure(m.target_k, m.n, m.e_max,
+                                               table).rows, path.name
+
     def test_disk_cache_reused(self, tmp_path):
         root = str(tmp_path / "bs")
         bs = Bootstrap(root)
