@@ -28,7 +28,7 @@ from .oracle import (
     gv_consistency_check,
     verify_minimality,
 )
-from .pipeline import ManifestError, run_manifest
+from .pipeline import ManifestError, run_manifest, worker_count
 from .store import GraphStore, StoreError, read_lines, render_count_table
 
 USAGE_ERROR = 2
@@ -108,7 +108,11 @@ def cmd_plan(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    store = run_manifest(args.manifest, args.out, workers=args.workers,
+    try:
+        workers = worker_count(args.workers)
+    except ValueError as exc:
+        return _error(USAGE_ERROR, exc)
+    store = run_manifest(args.manifest, args.out, workers=workers,
                          allow_partial=args.allow_partial)
     print(f"# wrote {len(store)} graphs to {args.out}", file=sys.stderr)
     return 0
@@ -123,26 +127,27 @@ def cmd_closure(args) -> int:
     result = edge_removal_closure(graphs, args.k, e_floor=args.e_max)
     store = GraphStore(args.k, graphs[0].n if graphs else 0,
                        e_min=args.e_max or 0, complete=True,
-                       certificate="edge-removal closure")
-    for form, g in result.items():
-        store.add(g, form)
+                       certificate="edge-removal closure", lines=result)
     store.write(args.out)
     print(f"# wrote {len(store)} graphs to {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    found = brute_force_graphs(args.n, args.k, args.e_max)
+    try:
+        found = brute_force_graphs(args.n, args.k, args.e_max)
+    except ValueError as exc:
+        return _error(USAGE_ERROR, exc)
     store = GraphStore(args.k, args.n, 0, args.e_max, complete=True,
-                       certificate="brute force")
-    for form, g in found.items():
-        store.add(g, form)
+                       certificate="brute force", lines=found)
     store.write(args.out)
     print(f"# wrote {len(store)} graphs to {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_verify(args) -> int:
+    if args.k < 1:
+        return _error(USAGE_ERROR, f"class bound --k must be >= 1, got {args.k}")
     store = GraphStore.read(args.store, check=True)
     failures = []
     if args.minimality:

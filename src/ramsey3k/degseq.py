@@ -361,16 +361,6 @@ def min_edge_bound(k: int, n: int, table: EdgeBoundTable) -> BoundEntry:
     return BoundEntry(INFINITE, provenance="computed")
 
 
-def z_upper_bound(k: int, n: int, e: int, d: int, table: EdgeBoundTable) -> int:
-    """Largest admissible neighbor-degree sum for a degree-d vertex."""
-    m = n - d - 1
-    entry = table.entry(k - 1, m)
-    if entry.kind == INFINITE:
-        raise InfiniteBoundError(
-            f"degree {d} impossible: (k={k - 1}, n={m}) class is empty")
-    return e - entry.value
-
-
 # ---------------------------------------------------------------------------
 # Closure plans
 # ---------------------------------------------------------------------------

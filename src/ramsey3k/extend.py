@@ -37,8 +37,9 @@ yields.  The other prunings keep every output up to isomorphism fixing the
 hub, so for the canonical covered orbit of G some input produces a copy of
 G with its hub in that orbit, and that copy passes the test.  A certified
 closure plan gives every output a covered vertex, so each output is kept
-from one degree row and one input only.  With an empty cover the rule does
-nothing.
+from one degree row and one input only; ``run_manifest`` checks this when
+it merges the parts, and raises on a repeated output.  With an empty cover
+the rule does nothing.
 
 Disabling any of the first six must not change the output set of a single
 host; disabling the canonical rule must not change the output set of a
@@ -72,39 +73,6 @@ from .indepcache import (
     build_independence_table,
     independent_sets,
 )
-
-
-@dataclass(frozen=True)
-class StructuralRule:
-    """Every vertex of subject_degree has exactly required_count neighbors
-    of neighbor_degree."""
-
-    subject_degree: int
-    neighbor_degree: int
-    required_count: int
-
-    def __post_init__(self):
-        for d in (self.subject_degree, self.neighbor_degree):
-            if not 0 <= d <= 15:
-                raise ValueError(f"degree {d} outside 0..15")
-        if self.required_count < 0:
-            raise ValueError("negative count")
-
-    def holds(self, g: Graph) -> bool:
-        degs = [row.bit_count() for row in g.adj]
-        for v in range(g.n):
-            if degs[v] != self.subject_degree:
-                continue
-            count = 0
-            m = g.adj[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if degs[u] == self.neighbor_degree:
-                    count += 1
-            if count != self.required_count:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -489,8 +457,3 @@ def edge_removal_closure(
                 seen[form] = h
                 frontier.append(h)
     return seen
-
-
-def structural_filter(graphs: Iterable[Graph], rules: Iterable[StructuralRule]) -> list:
-    rules = list(rules)
-    return [g for g in graphs if all(rule.holds(g) for rule in rules)]

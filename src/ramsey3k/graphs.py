@@ -272,6 +272,18 @@ def decode_graph6(text: str) -> Graph:
     return Graph._make(n, tuple(adj))
 
 
+# set bits of each payload byte's 6-bit value (byte - 63)
+_PAYLOAD_BITS = bytes((b - 63).bit_count() if 63 <= b < 127 else 0
+                      for b in range(256))
+
+
+def graph6_edge_count(text: str) -> int:
+    """Edge count of a well-formed graph6 line: the set bits of its payload,
+    after the one-byte or the four-byte ('~') order header."""
+    data = text.encode("ascii")
+    return sum(data[4 if data[:1] == b"~" else 1:].translate(_PAYLOAD_BITS))
+
+
 def encode_graph6(g: Graph) -> str:
     """Encode to a one-line graph6 string (no trailing newline)."""
     n = g.n

@@ -8,7 +8,6 @@ through the extension engine it is meant to audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .canon import canonical_form
@@ -25,18 +24,6 @@ from .indepcache import independent_sets
 ORACLE_CAP = 12
 
 
-@dataclass
-class EnumerationReport:
-    k: int
-    n: int
-    e_max: Optional[int]
-    counts: dict           # edge count -> number of graphs
-    forms: list            # canonical forms, sorted
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 def brute_force_graphs(n: int, k: int, e_max: Optional[int] = None) -> dict:
     """Every (3,k;n,<=e_max)-graph up to isomorphism, {form: Graph}.
 
@@ -47,8 +34,8 @@ def brute_force_graphs(n: int, k: int, e_max: Optional[int] = None) -> dict:
     """
     if n > ORACLE_CAP:
         raise CapacityError(f"oracle capped at order {ORACLE_CAP}, asked {n}")
-    if k < 2:
-        raise ValueError("need k >= 2")
+    if k < 2 or n < 0:
+        raise ValueError(f"need k >= 2 and n >= 0, got k={k}, n={n}")
     cap = e_max if e_max is not None else n * (n - 1) // 2
     level = {canonical_form(Graph.empty(0)): Graph.empty(0)}
     for _ in range(n):
@@ -80,15 +67,6 @@ def _attach(g: Graph, neighborhood: int) -> Graph:
         m &= m - 1
         adj[w] |= 1 << v
     return Graph._make(g.n + 1, tuple(adj))
-
-
-def enumeration_report(n: int, k: int, e_max: Optional[int] = None) -> EnumerationReport:
-    store = brute_force_graphs(n, k, e_max)
-    counts: dict = {}
-    for g in store.values():
-        e = g.edge_count()
-        counts[e] = counts.get(e, 0) + 1
-    return EnumerationReport(k, n, e_max, counts, sorted(store))
 
 
 def min_edge_count(n: int, k: int, probe_cap: Optional[int] = None) -> Optional[int]:

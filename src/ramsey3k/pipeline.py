@@ -3,27 +3,33 @@ level-by-level bootstrap that regenerates complete graph classes from the
 bottom of the hierarchy.
 
 A manifest binds one target class box to per-degree input files plus the
-closure plan certifying that those inputs suffice.  Shards are processed
-independently and idempotently.  A part file is named by its shard and a
-hash of the task and input lines it was computed from; a run deletes every
-part no current shard names, computes only the missing ones and never
-writes its manifest, so an interrupted run resumes without recomputation,
-a stale part is never trusted, and the merged output is byte-identical
-regardless of worker count or interruption points.  Every file is read and
+closure plan certifying that those inputs suffice.  Each shard glues its
+hosts and writes its own sorted part file, named by the shard and a hash of
+the task and input lines it was computed from; a run deletes every part no
+current shard names, computes only the missing ones and never writes its
+manifest, so an interrupted run resumes without recomputation, a stale part
+is never trusted, and the merged output is byte-identical regardless of
+worker count or interruption points.
+
+Canonical-hub acceptance is the one dedup across inputs: under a certified
+plan the parts are disjoint, and the merge of the sorted parts checks it,
+raising on a repeated line.  Without the rule's cover (or with the rule
+switched off) the merge drops repeats instead.  Every file is read and
 written through ``store``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
+import heapq
 import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .canon import canonical_form
 from .degseq import (
     EXACT,
     INFINITE,
@@ -36,7 +42,7 @@ from .degseq import (
 )
 from .extend import ExtensionTask, glue_extend
 from .graphs import Graph, decode_graph6
-from .store import GraphStore, read_lines, read_records, write_lines
+from .store import GraphStore, StoreError, read_lines, read_records, write_lines
 
 DEFAULT_SHARD_SIZE = 10_000
 # manifest and CLI names of the pruning rules: the ExtensionTask toggles
@@ -51,7 +57,10 @@ def worker_count(requested: Optional[int] = None) -> int:
         return requested
     env = os.environ.get("RAMSEY_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"RAMSEY_WORKERS={env!r} is not an integer") from None
     return os.cpu_count() or 1
 
 
@@ -165,15 +174,15 @@ class JobManifest:
         return manifest
 
 
-def _run_shard(args) -> list:
-    """Worker: glue every input line under the task; returns sorted
-    canonical output lines. Pure function of its arguments."""
-    lines, task = args
-    out: dict = {}
+def _run_shard(args) -> None:
+    """Worker: glue every input line of one shard under the task and write
+    the sorted canonical outputs to the shard's part file, which depends on
+    the arguments only."""
+    part, lines, task = args
+    out = []
     for line in lines:
-        for form in glue_extend(decode_graph6(line), task):
-            out[form] = None
-    return sorted(out)
+        out.extend(glue_extend(decode_graph6(line), task))
+    write_lines(part, sorted(out))
 
 
 def run_manifest(
@@ -183,7 +192,8 @@ def run_manifest(
     allow_partial: bool = False,
 ) -> GraphStore:
     """Execute every shard whose part file is missing, then merge the parts
-    into the output store.  The manifest is only read."""
+    into the output store.  The manifest is only read.  A repeated line
+    raises StoreError while the canonical rule is active."""
     manifest = JobManifest.read(manifest_path)
     if not manifest.certified and not allow_partial:
         raise ManifestError(
@@ -206,21 +216,29 @@ def run_manifest(
 
     pending = [shard for shard in shards if not os.path.exists(shard[0])]
     nworkers = min(worker_count(workers), len(pending))
-    jobs = [(chunk, task) for _, chunk, task in pending]
-    # each shard's part lands as soon as it returns, so an interrupted run
-    # keeps every finished shard
-    with (multiprocessing.Pool(nworkers) if nworkers > 1
-          else contextlib.nullcontext()) as pool:
-        results = pool.imap(_run_shard, jobs) if pool else map(_run_shard, jobs)
-        for (part, _, _), lines in zip(pending, results):
-            write_lines(part, lines)
+    # each shard writes its own part, and map returns (or raises the first
+    # error) only after every shard has run, so a failed or interrupted run
+    # keeps every finished part
+    if nworkers > 1:
+        with multiprocessing.Pool(nworkers) as pool:
+            pool.map(_run_shard, pending, chunksize=1)
+    else:
+        for shard in pending:
+            _run_shard(shard)
 
+    rule = manifest.task_for(0)  # every degree's task has the same cover
+    strict = rule.prune_canonical and bool(rule.cover)
+    merged: list = []
+    for line in heapq.merge(*(read_lines(part) for part, _, _ in shards)):
+        if merged and merged[-1] == line:
+            if strict:
+                raise StoreError(
+                    f"{out_path}: {line} glued twice under the canonical rule")
+            continue
+        merged.append(line)
     store = GraphStore(manifest.target_k, manifest.n, 0, manifest.e_max,
                        complete=manifest.certified,
-                       certificate=_plan_hash(manifest.plan))
-    for part, _, _ in shards:
-        for line in read_lines(part):
-            store.add(decode_graph6(line), form=line)
+                       certificate=_plan_hash(manifest.plan), lines=merged)
     store.write(out_path)
     return store
 
@@ -284,7 +302,7 @@ class Bootstrap:
         while probe <= ceiling:
             store = self.store(k, n, probe)
             if len(store):
-                result = min(g.edge_count() for g in store.graphs())
+                result = min(store.counts())
                 self._set_value(k, n, result)
                 return result
             probe += 1
@@ -322,9 +340,8 @@ class Bootstrap:
         if k == 1 or n == 0:
             # the extension engines reconstruct graphs through a vertex, so
             # the vertexless base case is seeded directly
-            st = GraphStore(k, n, 0, e_cap, complete=True, certificate="base")
-            if n == 0:
-                st.add(Graph.empty(0))
+            st = GraphStore(k, n, 0, e_cap, complete=True, certificate="base",
+                            lines=[canonical_form(Graph.empty(0))] if n == 0 else [])
             st.write(path)
             return st
         # ensure the level below is valued over the degree window

@@ -1,10 +1,11 @@
-"""Deduplicated graph stores and the file protocol of every state file.
+"""Graph stores and the file protocol of every state file.
 
 A store file is plain graph6, one canonically-labelled graph per line,
-sorted, LF-terminated.  A sidecar ``<path>.meta`` file carries the
-parameter box, per-edge-count histogram, and the completeness certificate
-in a line-oriented key=value format, so stores stay diff-able and readable
-by external tools.
+sorted, distinct, LF-terminated.  A sidecar ``<path>.meta`` file carries
+the parameter box, per-edge-count histogram, and the completeness
+certificate in a line-oriented key=value format, so stores stay diff-able
+and readable by external tools.  A ``GraphStore`` is built from such lines;
+it keeps them with their edge counts and decodes a member only on demand.
 
 Stores, sidecars, job manifests and shard parts are all line files, and
 all of them go through the three functions below: ``write_lines`` replaces
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import Counter
 from typing import Optional
 
 from .canon import canonical_form
-from .graphs import Graph, decode_graph6, validate_member
+from .graphs import decode_graph6, graph6_edge_count, validate_member
 
 
 class StoreError(ValueError):
@@ -59,82 +61,56 @@ def read_records(path: str) -> list:
 
 
 class GraphStore:
-    """Canonical-form-keyed set of graphs in one (k; n, e-range) box."""
+    """The sorted canonical graph6 lines of one (k; n, e-range) box and their
+    edge counts; members are decoded only when asked for."""
 
     def __init__(self, k: int, n: int, e_min: int = 0,
                  e_max: Optional[int] = None, complete: bool = False,
-                 certificate: str = ""):
+                 certificate: str = "", lines=()):
+        """``lines`` are distinct canonical forms, in any order."""
         self.k = k
         self.n = n
         self.e_min = e_min
         self.e_max = n * (n - 1) // 2 if e_max is None else e_max
         self.complete = complete
         self.certificate = certificate
-        self._graphs: dict = {}
+        self._lines = sorted(lines)
+        self._edges = [graph6_edge_count(line) for line in self._lines]
 
     def __len__(self):
-        return len(self._graphs)
-
-    def __contains__(self, form: str):
-        return form in self._graphs
+        return len(self._lines)
 
     def forms(self) -> set:
-        return set(self._graphs)
+        return set(self._lines)
 
     def graphs(self):
-        return self._graphs.values()
-
-    def items(self):
-        return self._graphs.items()
-
-    def add(self, g: Graph, form: Optional[str] = None, check: bool = False) -> bool:
-        """Insert; returns True when new.  ``check`` revalidates membership
-        and the box, for data arriving from outside the engines."""
-        if check:
-            validate_member(g, self.k)
-            e = g.edge_count()
-            if g.n != self.n or not self.e_min <= e <= self.e_max:
-                raise StoreError(
-                    f"graph (n={g.n}, e={e}) outside box "
-                    f"(n={self.n}, e={self.e_min}..{self.e_max})")
-        if form is None:
-            form = canonical_form(g)
-        if form in self._graphs:
-            return False
-        self._graphs[form] = g
-        return True
+        return map(decode_graph6, self._lines)
 
     def counts(self) -> dict:
-        hist: dict = {}
-        for g in self._graphs.values():
-            e = g.edge_count()
-            hist[e] = hist.get(e, 0) + 1
-        return hist
+        return dict(Counter(self._edges))
 
     def restricted(self, e_max: int) -> "GraphStore":
         """Sub-box with a lower edge ceiling; completeness is inherited
         (removing high-edge members cannot lose low-edge ones)."""
-        sub = GraphStore(self.k, self.n, self.e_min, e_max,
-                         complete=self.complete, certificate=self.certificate)
-        for form, g in self._graphs.items():
-            if g.edge_count() <= e_max:
-                sub._graphs[form] = g
-        return sub
+        return GraphStore(
+            self.k, self.n, self.e_min, e_max, complete=self.complete,
+            certificate=self.certificate,
+            lines=[line for line, e in zip(self._lines, self._edges) if e <= e_max])
 
     # -- persistence ---------------------------------------------------------
 
     def lines(self) -> list:
-        return sorted(self._graphs)
+        return self._lines
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
-        for line in self.lines():
+        for line in self._lines:
             h.update(line.encode())
             h.update(b"\n")
         return h.hexdigest()[:16]
 
     def write(self, path: str) -> None:
-        write_lines(path, self.lines())
+        write_lines(path, self._lines)
         meta = [
             f"k={self.k}",
             f"n={self.n}",
@@ -142,7 +118,7 @@ class GraphStore:
             f"e_max={self.e_max}",
             f"complete={int(self.complete)}",
             f"certificate={self.certificate}",
-            f"total={len(self._graphs)}",
+            f"total={len(self)}",
             f"hash={self.content_hash()}",
         ]
         for e, c in sorted(self.counts().items()):
@@ -151,6 +127,9 @@ class GraphStore:
 
     @classmethod
     def read(cls, path: str, check: bool = False) -> "GraphStore":
+        """Read a store, canonically relabelling every line.  ``check``
+        revalidates membership and the box, for data arriving from outside
+        the engines."""
         meta = (dict(read_records(path + ".meta"))
                 if os.path.exists(path + ".meta") else {})
 
@@ -161,20 +140,26 @@ class GraphStore:
                 raise StoreError(
                     f"{path}.meta: malformed {key}={meta[key]!r}") from None
 
-        store = cls(
-            k=number("k", 0),
-            n=number("n", -1),
-            e_min=number("e_min", 0),
-            e_max=number("e_max"),
-            complete=bool(number("complete", 0)),
-            certificate=meta.get("certificate", ""),
-        )
+        k = number("k", 0)
+        n = number("n", -1)
+        e_min = number("e_min", 0)
+        e_max = number("e_max")
+        forms = set()
         for line in read_lines(path):
             g = decode_graph6(line)
-            if store.n < 0:
-                store.n = g.n
-                store.e_max = g.n * (g.n - 1) // 2
-            store.add(g, check=check and store.k >= 1)
+            if n < 0:  # no sidecar: the first member sets the order
+                n = g.n
+            if check and k >= 1:
+                validate_member(g, k)
+                e = g.edge_count()
+                top = n * (n - 1) // 2 if e_max is None else e_max
+                if g.n != n or not e_min <= e <= top:
+                    raise StoreError(
+                        f"graph (n={g.n}, e={e}) outside box "
+                        f"(n={n}, e={e_min}..{top})")
+            forms.add(canonical_form(g))
+        store = cls(k, n, e_min, e_max, complete=bool(number("complete", 0)),
+                    certificate=meta.get("certificate", ""), lines=forms)
         if "total" in meta and number("total") != len(store):
             raise StoreError(f"{path}: meta total {meta['total']} != {len(store)}")
         if "hash" in meta and meta["hash"] != store.content_hash():

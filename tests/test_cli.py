@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ramsey3k import cli
@@ -101,12 +103,7 @@ def test_oracle_closure_count_verify(tmp_path, capsys):
     assert main(["verify", "--store", oracle_out, "--k", "4",
                  "--minimality"]) == 1  # only the 10-edge member is minimal
     ten = str(tmp_path / "min.g6")
-    st = GraphStore.read(oracle_out)
-    keep = GraphStore(4, 8, e_max=10)
-    for f, g in st.items():
-        if g.edge_count() == 10:
-            keep.add(g, f)
-    keep.write(ten)
+    GraphStore.read(oracle_out).restricted(10).write(ten)
     assert main(["verify", "--store", ten, "--k", "4", "--minimality",
                  "--gv", _gv_ref(tmp_path),
                  "--add-edges", "1", oracle_out]) == 0
@@ -114,9 +111,7 @@ def test_oracle_closure_count_verify(tmp_path, capsys):
 
 def _gv_ref(tmp_path):
     from ramsey3k.oracle import brute_force_graphs
-    ref = GraphStore(3, 5)
-    for f, g in brute_force_graphs(5, 3, None).items():
-        ref.add(g, f)
+    ref = GraphStore(3, 5, lines=brute_force_graphs(5, 3, None))
     path = str(tmp_path / "gvref.g6")
     ref.write(path)
     return path
@@ -219,11 +214,14 @@ def _store_with_bad_line(tmp_path):
     return path
 
 
-def _store_with_wrong_total(tmp_path):
+def _c5_store(tmp_path):
     path = str(tmp_path / "s.g6")
-    store = GraphStore(3, 5)
-    store.add(cycle(5))
-    store.write(path)
+    GraphStore(3, 5, lines=[canonical_form(cycle(5))]).write(path)
+    return path
+
+
+def _store_with_wrong_total(tmp_path):
+    path = _c5_store(tmp_path)
     meta = open(path + ".meta").read().replace("total=1", "total=2")
     with open(path + ".meta", "w") as fh:
         fh.write(meta)
@@ -236,6 +234,11 @@ def _store_with_malformed_meta(tmp_path):
     with open(path + ".meta", "w") as fh:
         fh.write(meta)
     return path
+
+
+def _oracle_manifest(tmp_path):
+    from test_pipeline import oracle_manifest
+    return oracle_manifest(tmp_path)
 
 
 def _mtf_with_triangle(tmp_path):
@@ -258,11 +261,24 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
     (None, ["plan"] + TABLE_GAP, 2),
     (None, ["degseq"] + TABLE_GAP, 2),
     (None, ["degseq", "--k", "5", "--n", "10", "--e", "20", "--dmax", "9"], 2),
+    (None, ["oracle", "--n", "5", "--k", "1", "--out", "o.g6"], 2),
+    (None, ["oracle", "--n", "-2", "--k", "3", "--out", "o.g6"], 2),
+    (_oracle_manifest,
+     ["RAMSEY_WORKERS=abc", "extend", "--out", "o.g6", "--manifest"], 2),
+    (_c5_store, ["verify", "--k", "0", "--minimality", "--store"], 2),
 ], ids=["verify-bad-line", "verify-total-mismatch", "closure-triangle",
         "count-bad-line", "count-malformed-meta", "plan-table-gap",
-        "degseq-table-gap", "degseq-dmax-above-window"])
+        "degseq-table-gap", "degseq-dmax-above-window", "oracle-k-below-2",
+        "oracle-negative-n", "workers-env-not-an-integer", "verify-k-0"])
 def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
+    # leading NAME=VALUE items are environment settings, as in a shell
+    env = list(itertools.takewhile(lambda item: "=" in item, argv))
+    for item in env:
+        monkeypatch.setenv(*item.split("=", 1))
     monkeypatch.chdir(tmp_path)
-    assert main(argv + ([make(tmp_path)] if make else [])) == code
+    assert main(argv[len(env):] + ([make(tmp_path)] if make else [])) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "o.g6").exists()
+    if make in (None, _oracle_manifest, _c5_store):  # bad arguments, good files
+        assert err.startswith("ramsey3k: error:")

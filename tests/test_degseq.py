@@ -21,7 +21,6 @@ from ramsey3k.degseq import (
     plan_closure,
     propagate_bounds,
     r_upper,
-    z_upper_bound,
 )
 
 
@@ -188,19 +187,6 @@ class TestMinEdgeBound:
         for n in (35, 38, 41):
             assert (min_edge_bound(10, n, weak).value
                     <= min_edge_bound(10, n, builtin).value)
-
-
-class TestZUpperBound:
-    def test_published_points(self, builtin):
-        assert z_upper_bound(10, 42, 189, 7, builtin) == 60
-        assert z_upper_bound(10, 42, 189, 8, builtin) == 71
-        t = EdgeBoundTable()
-        t.set(2, 2, BoundEntry(EXACT, 1, "test"))
-        assert z_upper_bound(3, 5, 5, 2, t) == 4
-
-    def test_infinite_degree_impossible(self, builtin):
-        with pytest.raises(InfiniteBoundError):
-            z_upper_bound(10, 42, 189, 5, builtin)  # (9, 36) is empty
 
 
 def make_plan(k_plus_1, n, e, table, increments):

@@ -6,13 +6,11 @@ import pytest
 from ramsey3k.canon import canonical_form, rooted_key
 from ramsey3k.extend import (
     ExtensionTask,
-    StructuralRule,
     _hub_canonical,
     edge_removal_closure,
     glue_extend,
     is_maximal_triangle_free,
     min_degree_extend,
-    structural_filter,
 )
 from ramsey3k.graphs import (
     CapacityError,
@@ -252,23 +250,3 @@ class TestMaximalTriangleFree:
         with pytest.raises(ValueError):
             edge_removal_closure([path(4)], 3)
 
-
-class TestStructuralFilter:
-    def test_examples(self):
-        c5 = cycle(5)
-        assert structural_filter([c5], [StructuralRule(2, 2, 2)]) == [c5]
-        assert structural_filter([c5], [StructuralRule(2, 2, 1)]) == []
-        pet = petersen()
-        assert structural_filter([pet], [StructuralRule(3, 3, 3)]) == [pet]
-
-    def test_mixed_degrees(self):
-        # star plus pendant chain: one degree-3 vertex with two leaves
-        g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-        assert structural_filter([g], [StructuralRule(3, 1, 2)]) == [g]
-        assert structural_filter([g], [StructuralRule(3, 1, 3)]) == []
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            StructuralRule(16, 2, 1)
-        with pytest.raises(ValueError):
-            StructuralRule(2, 2, -1)

@@ -15,6 +15,7 @@ from ramsey3k.graphs import (
     deficiency_vertex,
     encode_graph6,
     find_independent_set,
+    graph6_edge_count,
     independence_number,
     is_triangle_free,
     local_subgraph,
@@ -52,6 +53,13 @@ class TestGraph6:
         for n in (0, 1, 2, 7, 13, 33, 63, 64):
             g = random_triangle_free(n, 0.3, rng)
             assert decode_graph6(encode_graph6(g)) == g
+
+    def test_edge_count_from_text(self, rng):
+        # orders 63 and 64 take the four-byte '~' header
+        for n in (0, 1, 2, 7, 13, 62, 63, 64):
+            for p in (0.0, 0.3, 1.0):
+                g = random_triangle_free(n, p, rng)
+                assert graph6_edge_count(encode_graph6(g)) == g.edge_count()
 
     def test_roundtrip_text(self, rng):
         for n in (3, 9, 17):

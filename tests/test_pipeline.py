@@ -1,9 +1,10 @@
 import math
 import os
+import re
 
 import pytest
 
-from ramsey3k import data, extend, pipeline
+from ramsey3k import cli, data, extend, pipeline
 from ramsey3k.canon import canonical_form
 from ramsey3k.degseq import EXACT, INFINITE, plan_closure
 from ramsey3k.graphs import Graph, GraphFormatError, encode_graph6
@@ -15,7 +16,7 @@ from ramsey3k.pipeline import (
     run_manifest,
     worker_count,
 )
-from ramsey3k.store import GraphStore
+from ramsey3k.store import StoreError, read_lines, write_lines
 
 from conftest import cycle
 
@@ -147,6 +148,20 @@ class TestManifest:
             assert open(out + suffix).read() == \
                 open(str(serial / "out.g6") + suffix).read()
 
+    def test_failed_first_shard_keeps_later_parts(self, tmp_path):
+        path = oracle_manifest(tmp_path, 4, 7, 9, shard_size=1)
+        inputs = JobManifest.read(path).inputs
+        first = inputs[0][1]
+        write_lines(first, ["A~"] + read_lines(first)[1:])  # nonzero padding
+        out = str(tmp_path / "out.g6")
+        with pytest.raises(GraphFormatError):
+            run_manifest(path, out, workers=2)
+        later = [f"d{degree}_s{idx}" for degree, p in inputs
+                 for idx in range(max(1, len(read_lines(p))))][1:]
+        assert len(later) == 2
+        assert sorted(name.rsplit("_", 1)[0]
+                      for name in os.listdir(out + ".parts")) == later
+
     def test_rerun_after_edited_e_max_matches_fresh_run(self, tmp_path):
         path = oracle_manifest(tmp_path, 4, 8, 12)
         out = str(tmp_path / "out.g6")
@@ -178,8 +193,8 @@ class TestManifest:
 
         monkeypatch.setattr(pipeline, "_run_shard", counting)
         rerun = run_manifest(path, out, workers=1)
-        assert [task.d for _, task in calls] == [degree]
-        assert calls[0][0] == lines[1:]
+        assert [task.d for _, _, task in calls] == [degree]
+        assert calls[0][1] == lines[1:]
         fresh = tmp_path / "fresh"
         fresh.mkdir()
         assert rerun.forms() == run_manifest(path, str(fresh / "out.g6"),
@@ -217,6 +232,51 @@ def _parts_by_degree(out: str) -> dict:
         parts.setdefault(degree, set()).update(open(
             os.path.join(out + ".parts", name)).read().split())
     return parts
+
+
+def _plant_repeat(out: str) -> str:
+    """Copy the first line of the first non-empty part into another part;
+    returns that line."""
+    parts = [os.path.join(out + ".parts", name)
+             for name in sorted(os.listdir(out + ".parts"))]
+    source = next(p for p in parts if read_lines(p))
+    line = read_lines(source)[0]
+    target = next(p for p in parts if p != source)
+    write_lines(target, sorted(read_lines(target) + [line]))
+    return line
+
+
+class TestMergeCheck:
+    """The merge checks that the parts of a run under the canonical rule are
+    disjoint; without the rule it drops repeats."""
+
+    def test_repeat_under_canonical_rule_raises(self, tmp_path):
+        path = oracle_manifest(tmp_path, 4, 7, 9)
+        out = str(tmp_path / "out.g6")
+        run_manifest(path, out, workers=1)
+        written = [open(out + s, "rb").read() for s in ("", ".meta")]
+        line = _plant_repeat(out)
+        with pytest.raises(StoreError, match=re.escape(line)):
+            run_manifest(path, out, workers=1)
+        assert cli.main(["extend", "--manifest", path, "--out", out,
+                         "--workers", "1"]) == 1
+        assert [open(out + s, "rb").read() for s in ("", ".meta")] == written
+
+    @pytest.mark.parametrize("no_prune, certified", [
+        (("canonical",), True), ((), False)], ids=["rule-off", "uncertified"])
+    def test_repeat_without_rule_dropped(self, tmp_path, no_prune, certified):
+        path = oracle_manifest(tmp_path, 4, 7, 9)
+        m = JobManifest.read(path)
+        m.no_prune, m.certified = no_prune, certified
+        m.write(path)
+        out, fresh = str(tmp_path / "out.g6"), str(tmp_path / "fresh.g6")
+        run_manifest(path, out, workers=1, allow_partial=True)
+        _plant_repeat(out)
+        run_manifest(path, out, workers=1, allow_partial=True)
+        run_manifest(path, fresh, workers=1, allow_partial=True)
+        for suffix in ("", ".meta"):
+            assert open(out + suffix, "rb").read() == \
+                open(fresh + suffix, "rb").read()
 
 
 class TestCanonicalRule:

@@ -4,7 +4,8 @@ import stat
 import pytest
 
 from ramsey3k.canon import canonical_form
-from ramsey3k.graphs import Graph, MembershipError
+from ramsey3k.graphs import (Graph, MembershipError, encode_graph6,
+                             graph6_edge_count)
 from ramsey3k.oracle import brute_force_graphs
 from ramsey3k.store import (
     GraphStore,
@@ -19,31 +20,42 @@ from conftest import cycle
 
 
 def filled_store(k=4, n=8, e_max=None):
-    store = GraphStore(k, n, e_max=e_max, complete=True, certificate="test")
-    for form, g in brute_force_graphs(n, k, e_max).items():
-        store.add(g, form)
-    return store
+    return GraphStore(k, n, e_max=e_max, complete=True, certificate="test",
+                      lines=brute_force_graphs(n, k, e_max))
 
 
 class TestGraphStore:
-    def test_dedup(self):
-        store = GraphStore(3, 5)
+    def test_dedup(self, tmp_path):
+        # read relabels every line canonically, so a relabelled copy of a
+        # member is the same member
         c5 = cycle(5)
-        assert store.add(c5)
-        relabeled = c5.permuted([2, 0, 3, 1, 4])
-        assert not store.add(relabeled)
+        relabeled = encode_graph6(c5.permuted([2, 0, 3, 1, 4]))
+        assert relabeled != canonical_form(c5)
+        path = str(tmp_path / "s.g6")
+        write_lines(path, [canonical_form(c5), relabeled])
+        store = GraphStore.read(path)
+        assert store.lines() == [canonical_form(c5)]
         assert len(store) == 1
 
     def test_counts(self):
         store = filled_store()
         assert store.counts() == {10: 1, 11: 1, 12: 1}
 
-    def test_box_check(self):
-        store = GraphStore(3, 5, e_max=4)
+    def test_box_check(self, tmp_path):
+        path = str(tmp_path / "s.g6")
+        c5 = [canonical_form(cycle(5))]
+        GraphStore(3, 5, e_max=4, lines=c5).write(path)
         with pytest.raises(StoreError):
-            store.add(cycle(5), check=True)
+            GraphStore.read(path, check=True)
+        GraphStore(2, 5, lines=c5).write(path)
         with pytest.raises(Exception):
-            GraphStore(2, 5).add(cycle(5), check=True)
+            GraphStore.read(path, check=True)
+
+    def test_edge_counts_from_lines(self):
+        store = filled_store(e_max=11)
+        assert store.counts() == {10: 1, 11: 1}
+        assert [g.edge_count() for g in store.graphs()] == [
+            graph6_edge_count(line) for line in store.lines()]
 
     def test_restricted(self):
         store = filled_store()
@@ -93,9 +105,7 @@ class TestGraphStore:
         # another valid member of the same box, so only the hash can tell
         members = brute_force_graphs(8, 4, 12)
         outsider, *kept = sorted(members)
-        store = GraphStore(4, 8, e_max=12)
-        for form in kept:
-            store.add(members[form], form)
+        store = GraphStore(4, 8, e_max=12, lines=kept)
         path = str(tmp_path / "s.g6")
         store.write(path)
         lines = open(path).read().splitlines()
@@ -109,12 +119,11 @@ class TestGraphStore:
     def test_k1_members_checked(self, tmp_path):
         # the k=1 class holds only the vertexless graph
         path = str(tmp_path / "s.g6")
-        base = GraphStore(1, 0, complete=True)
-        base.add(Graph.empty(0), check=True)
+        base = GraphStore(1, 0, complete=True,
+                          lines=[canonical_form(Graph.empty(0))])
         base.write(path)
         assert len(GraphStore.read(path, check=True)) == 1
-        bad = GraphStore(1, 1)
-        bad.add(Graph.empty(1))
+        bad = GraphStore(1, 1, lines=[canonical_form(Graph.empty(1))])
         bad.write(path)
         with pytest.raises(MembershipError):
             GraphStore.read(path, check=True)
