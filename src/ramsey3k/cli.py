@@ -21,7 +21,7 @@ from .degseq import (
 )
 from .extend import edge_removal_closure, is_maximal_triangle_free
 from .graphs import (CapacityError, GraphFormatError, MembershipError,
-                     decode_graph6)
+                     decode_graph6, validate_member)
 from .oracle import (
     add_edge_closure_check,
     brute_force_graphs,
@@ -120,12 +120,14 @@ def cmd_extend(args) -> int:
 
 def cmd_closure(args) -> int:
     graphs = _read_graphs(args.mtf)
+    if not graphs:
+        return _error(USAGE_ERROR, f"{args.mtf} holds no graphs")
     for g in graphs:
         if not is_maximal_triangle_free(g):
             print("input contains a non-maximal graph", file=sys.stderr)
             return VERIFY_ERROR
     result = edge_removal_closure(graphs, args.k, e_floor=args.e_max)
-    store = GraphStore(args.k, graphs[0].n if graphs else 0,
+    store = GraphStore(args.k, graphs[0].n,
                        e_min=args.e_max or 0, complete=True,
                        certificate="edge-removal closure", lines=result)
     store.write(args.out)
@@ -149,6 +151,12 @@ def cmd_verify(args) -> int:
     if args.k < 1:
         return _error(USAGE_ERROR, f"class bound --k must be >= 1, got {args.k}")
     store = GraphStore.read(args.store, check=True)
+    if store.k and store.k != args.k:
+        return _error(VERIFY_ERROR,
+                      f"{args.store} holds k={store.k} members, not --k {args.k}")
+    if not store.k:  # no sidecar k, so reading could not check membership
+        for g in store.graphs():
+            validate_member(g, args.k)
     failures = []
     if args.minimality:
         for g in store.graphs():

@@ -19,8 +19,6 @@ import io
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 EXACT = "exact"
 LOWER = "lower"
 INFINITE = "infinite"
@@ -338,6 +336,8 @@ def min_edge_bound(k: int, n: int, table: EdgeBoundTable) -> BoundEntry:
     the minimum achievable cost sum; e = s/2 is feasible exactly when that
     minimum cost stays within n*e.
     """
+    import numpy as np  # here, so the pure-Python paths never load it
+
     degrees, costs = _degree_costs(k, n, table)
     if not degrees or n == 0:
         if n == 0:
@@ -479,15 +479,23 @@ def plan_closure(
     e: int,
     table: EdgeBoundTable,
 ) -> ClosurePlan:
-    """Greedy increment selection until the closure certificate holds.
+    """A minimal certified closure plan: greedy increments, then reverse
+    delete.
 
     This is the one planning rule: ``ramsey3k plan`` prints its plan and
-    ``Bootstrap`` certifies every level with it.  Input counts are modelled
-    as growing twentyfold per unit of increment, so raising degree i's
-    increment from t to t+1 costs 20^(t+1) - 20^t (20 from zero).  Each
-    round raises the increment that kills the most surviving sequences per
-    unit of that cost, breaking ties toward degrees near the average degree
-    2e/n.  Raises RuntimeError when no certified plan is found.
+    ``Bootstrap`` certifies every level with it.  The greedy phase models
+    input counts as growing twentyfold per unit of increment, so raising
+    degree i's increment from t to t+1 costs 20^(t+1) - 20^t (20 from
+    zero).  Each round raises the increment that kills the most surviving
+    sequences per unit of that cost, breaking ties toward degrees near the
+    average degree 2e/n, until the certificate holds.
+
+    Reverse delete then visits the positive increments, largest first and
+    ties to the smaller degree, and lowers each one by one while the
+    certificate still holds.  Lowering an increment only adds surviving
+    sequences, so an increment that could not drop when visited cannot drop
+    later either: no single increment of the result can drop by one.
+    Raises RuntimeError when no certified plan is found.
     """
     feasible = _feasible_rows(k_plus_1, n, table)
     t = {i: 0 for i, _, _ in feasible}
@@ -502,7 +510,7 @@ def plan_closure(
     for _ in range(PLAN_MAX_ROUNDS):
         check = closure_sufficiency_check(k_plus_1, n, e, build_plan(), table)
         if check.certified:
-            return build_plan()
+            break
         best = None
         for i, _, _ in feasible:
             killed = sum(
@@ -520,7 +528,18 @@ def plan_closure(
         if best is None:
             raise RuntimeError("no finite plan: survivors use no positive count")
         t[best[1]] += 1
-    raise RuntimeError(f"no certified plan within {PLAN_MAX_ROUNDS} rounds")
+    else:
+        raise RuntimeError(f"no certified plan within {PLAN_MAX_ROUNDS} rounds")
+
+    # reverse delete
+    for i in sorted((i for i in t if t[i]), key=lambda i: (-t[i], i)):
+        while t[i]:
+            t[i] -= 1
+            if not closure_sufficiency_check(k_plus_1, n, e, build_plan(),
+                                             table).certified:
+                t[i] += 1
+                break
+    return build_plan()
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from .canon import canonical_form, canonical_with_automorphisms, rooted_key
 from .graphs import (
     CapacityError,
@@ -112,6 +110,8 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
 
     d-regular outputs are asked for by d_min = delta_max = d.
     """
+    import numpy as np  # here, so the pure-Python paths never load it
+
     k = task.k
     d = task.d
     m = H.n

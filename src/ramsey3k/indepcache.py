@@ -9,8 +9,6 @@ S, one vectorised step per vertex, and then clamped to the band.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .graphs import Graph, CapacityError
 
 TABLE_MAX_ORDER = 24  # 2^24 one-byte cells = 16 MiB
@@ -66,6 +64,8 @@ def build_independence_table(base: Graph, k: int, d: int) -> IndependenceTable:
     Band runs from k+1-d up to k-1, matching the orders the pruning tests
     ever ask about.
     """
+    import numpy as np  # here, so the pure-Python paths never load it
+
     n = base.n
     if n > TABLE_MAX_ORDER:
         raise CapacityError(

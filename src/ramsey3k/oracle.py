@@ -148,9 +148,9 @@ def gv_consistency_check(
     must already be known there."""
     for g in parents:
         for v in range(g.n):
+            if g.n - 1 - g.degree(v) != ref_n:
+                continue  # its local subgraph cannot land in the box
             h = local_subgraph(g, v)
-            if h.n != ref_n:
-                continue
             if ref_e_max is not None and h.edge_count() > ref_e_max:
                 continue
             if canonical_form(h) not in reference_forms:

@@ -1,7 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ramsey3k
 from ramsey3k import cli
 from ramsey3k.cli import main
 from ramsey3k.canon import canonical_form
@@ -171,7 +175,7 @@ def test_extend_no_prune_automorphic_same_store(tmp_path):
 
 
 def test_extend_no_prune_canonical_same_store(tmp_path):
-    # five degree rows, each of which emits graphs that other rows emit too
+    # three degree rows, each of which emits graphs that other rows emit too
     # when the rule is off
     stores = _default_and_rule_off_stores(tmp_path, "canonical", (5, 9, 14))
     assert stores[0] == stores[1]
@@ -282,3 +286,47 @@ def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     assert not (tmp_path / "o.g6").exists()
     if make in (None, _oracle_manifest, _c5_store):  # bad arguments, good files
         assert err.startswith("ramsey3k: error:")
+
+
+def test_verify_checks_members_against_k(tmp_path, capsys):
+    # no sidecar, so only --k can say that a triangle is not a member
+    path = tmp_path / "triangle.g6"
+    path.write_text("Bw\n")
+    assert main(["verify", "--k", "3", "--store", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "triangle" in err
+    c5 = _c5_store(tmp_path)
+    assert main(["verify", "--k", "3", "--store", c5]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--k", "4", "--store", c5]) == 1
+    assert capsys.readouterr().err == (
+        f"ramsey3k: error: {c5} holds k=3 members, not --k 4\n")
+
+
+def test_closure_of_no_graphs_usage_error(tmp_path, capsys):
+    mtf = tmp_path / "empty.g6"
+    mtf.write_text("")
+    out = tmp_path / "c.g6"
+    assert main(["closure", "--mtf", str(mtf), "--k", "3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("ramsey3k: error:")
+    assert not out.exists() and not (tmp_path / "c.g6.meta").exists()
+
+
+def test_verify_never_loads_numpy(tmp_path):
+    c5 = _c5_store(tmp_path)
+    ref = str(tmp_path / "k2.g6")
+    GraphStore(2, 2, lines=[canonical_form(Graph.from_edges(2, [(0, 1)]))]
+               ).write(ref)
+    argv = ["verify", "--k", "3", "--store", c5, "--minimality",
+            "--gv", ref, "--add-edges", "1", c5]
+    code = ("import sys\n"
+            "from ramsey3k.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(ramsey3k.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout == "0 False\n", result.stdout + result.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -229,6 +230,42 @@ class TestClosure:
         for (k1, n, e) in [(8, 25, 65), (7, 16, 23), (6, 13, 17)]:
             plan = plan_closure(k1, n, e, builtin)
             assert closure_sufficiency_check(k1, n, e, plan, builtin).certified
+
+    @pytest.mark.parametrize("box, increments", [
+        ((7, 16, 23), {2: 1, 3: 4, 4: 3, 5: 1}),
+        ((8, 25, 65), {4: 1, 5: 3, 6: 2}),
+        ((9, 27, 61), {4: 2, 5: 2}),
+    ])
+    def test_plan_closure_pinned(self, builtin, box, increments):
+        plan = plan_closure(*box, builtin)
+        assert {d: t for d, t in plan.increments().items() if t} == increments
+
+    def test_plan_closure_minimal(self, builtin):
+        # every b-flagged grid box, then the oracle-sized boxes up to three
+        # edges above the minimum
+        grid = data.small_exact_table()
+        boxes = [(k, n, grid.entry(k, n).value)
+                 for (k, n), flag in sorted(data.small_exact_flags().items())
+                 if flag == "b"]
+        assert len(boxes) == 20
+        for k in range(3, 7):
+            for n in range(1, 13):
+                if builtin.is_infinite(k, n):
+                    break
+                low = builtin.bound_value(k, n)
+                boxes += [(k, n, e) for e in range(low, low + 4)]
+        for box in boxes:
+            plan = plan_closure(*box, builtin)
+            assert closure_sufficiency_check(*box, plan, builtin).certified, box
+            for row in plan.rows:
+                if not row.increment:
+                    continue
+                lower = dataclasses.replace(row, increment=row.increment - 1,
+                                            ceiling=row.ceiling - 1)
+                smaller = ClosurePlan(*box, [lower if r is row else r
+                                             for r in plan.rows])
+                assert not closure_sufficiency_check(
+                    *box, smaller, builtin).certified, (box, row.degree)
 
     def test_plan_csv_roundtrip(self, builtin):
         plan = plan_closure(7, 16, 23, builtin)

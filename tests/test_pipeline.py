@@ -78,7 +78,7 @@ class TestManifest:
         assert resumed.forms() == full
 
     def test_rerun_recomputes_only_missing_parts(self, tmp_path, monkeypatch):
-        path = oracle_manifest(tmp_path, 4, 7, 9, shard_size=1)
+        path = oracle_manifest(tmp_path, 4, 6, 9, shard_size=1)
         out = str(tmp_path / "out.g6")
         run_manifest(path, out, workers=1)
         written = [open(out + s, "rb").read() for s in ("", ".meta")]
@@ -122,7 +122,7 @@ class TestManifest:
         assert open(out1).read() == open(out2).read()
 
     def test_parallel_failure_keeps_finished_shards(self, tmp_path):
-        path = oracle_manifest(tmp_path, 4, 7, 9, shard_size=1)
+        path = oracle_manifest(tmp_path, 4, 6, 9, shard_size=1)
         inputs = JobManifest.read(path).inputs
         finished = {(degree, idx) for degree, p in inputs
                     for idx in range(max(1, len(open(p).readlines())))}
@@ -142,14 +142,14 @@ class TestManifest:
         run_manifest(path, out, workers=2)
         serial = tmp_path / "serial"
         serial.mkdir()
-        run_manifest(oracle_manifest(serial, 4, 7, 9, shard_size=1),
+        run_manifest(oracle_manifest(serial, 4, 6, 9, shard_size=1),
                      str(serial / "out.g6"), workers=1)
         for suffix in ("", ".meta"):
             assert open(out + suffix).read() == \
                 open(str(serial / "out.g6") + suffix).read()
 
     def test_failed_first_shard_keeps_later_parts(self, tmp_path):
-        path = oracle_manifest(tmp_path, 4, 7, 9, shard_size=1)
+        path = oracle_manifest(tmp_path, 4, 6, 9, shard_size=1)
         inputs = JobManifest.read(path).inputs
         first = inputs[0][1]
         write_lines(first, ["A~"] + read_lines(first)[1:])  # nonzero padding
@@ -158,7 +158,7 @@ class TestManifest:
             run_manifest(path, out, workers=2)
         later = [f"d{degree}_s{idx}" for degree, p in inputs
                  for idx in range(max(1, len(read_lines(p))))][1:]
-        assert len(later) == 2
+        assert len(later) == 3
         assert sorted(name.rsplit("_", 1)[0]
                       for name in os.listdir(out + ".parts")) == later
 
@@ -251,7 +251,7 @@ class TestMergeCheck:
     disjoint; without the rule it drops repeats."""
 
     def test_repeat_under_canonical_rule_raises(self, tmp_path):
-        path = oracle_manifest(tmp_path, 4, 7, 9)
+        path = oracle_manifest(tmp_path, 4, 6, 9)
         out = str(tmp_path / "out.g6")
         run_manifest(path, out, workers=1)
         written = [open(out + s, "rb").read() for s in ("", ".meta")]
@@ -265,7 +265,7 @@ class TestMergeCheck:
     @pytest.mark.parametrize("no_prune, certified", [
         (("canonical",), True), ((), False)], ids=["rule-off", "uncertified"])
     def test_repeat_without_rule_dropped(self, tmp_path, no_prune, certified):
-        path = oracle_manifest(tmp_path, 4, 7, 9)
+        path = oracle_manifest(tmp_path, 4, 6, 9)
         m = JobManifest.read(path)
         m.no_prune, m.certified = no_prune, certified
         m.write(path)
@@ -284,8 +284,8 @@ class TestCanonicalRule:
     output-neutral per store, not per host."""
 
     def test_task_cover_from_certified_plan(self, tmp_path):
-        m = JobManifest.read(oracle_manifest(tmp_path, 4, 7, 9))
-        assert m.task_for(2).cover == ((2, 3), (3, 1))
+        m = JobManifest.read(oracle_manifest(tmp_path, 4, 6, 9))
+        assert m.task_for(2).cover == ((1, 2), (2, 2), (3, 0))
         m.certified = False
         assert m.task_for(2).cover == ()
 
@@ -294,7 +294,7 @@ class TestCanonicalRule:
         out = str(tmp_path / "out.g6")
         store = run_manifest(path, out, workers=1)
         parts = _parts_by_degree(out)
-        assert len(parts) == 5
+        assert len(parts) == 3
         assert sum(len(forms) for forms in parts.values()) == len(store)
         assert set().union(*parts.values()) == store.forms()
 
@@ -364,8 +364,8 @@ class TestBootstrap:
         for workers in ("1", "2"):
             monkeypatch.setenv("RAMSEY_WORKERS", workers)
             bs = Bootstrap(str(tmp_path / f"w{workers}"))
-            bs.store(4, 7, 9)
-            path = bs.store_path(4, 7, 9)
+            bs.store(4, 6, 9)
+            path = bs.store_path(4, 6, 9)
             assert len(JobManifest.read(path + ".manifest").inputs) >= 2
             written.append([open(path + s).read() for s in ("", ".meta")])
         assert written[0] == written[1]
