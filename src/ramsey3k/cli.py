@@ -21,7 +21,7 @@ from .degseq import (
 )
 from .extend import edge_removal_closure, is_maximal_triangle_free
 from .graphs import (CapacityError, GraphFormatError, MembershipError,
-                     decode_graph6, validate_member)
+                     decode_graph6)
 from .oracle import (
     add_edge_closure_check,
     brute_force_graphs,
@@ -150,13 +150,10 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     if args.k < 1:
         return _error(USAGE_ERROR, f"class bound --k must be >= 1, got {args.k}")
-    store = GraphStore.read(args.store, check=True)
-    if store.k and store.k != args.k:
+    store = GraphStore.read(args.store, check=True, k=args.k)
+    if store.k != args.k:
         return _error(VERIFY_ERROR,
                       f"{args.store} holds k={store.k} members, not --k {args.k}")
-    if not store.k:  # no sidecar k, so reading could not check membership
-        for g in store.graphs():
-            validate_member(g, args.k)
     failures = []
     if args.minimality:
         for g in store.graphs():

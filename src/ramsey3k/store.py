@@ -126,10 +126,11 @@ class GraphStore:
         write_lines(path + ".meta", meta)
 
     @classmethod
-    def read(cls, path: str, check: bool = False) -> "GraphStore":
+    def read(cls, path: str, check: bool = False, k: int = 0) -> "GraphStore":
         """Read a store, canonically relabelling every line.  ``check``
         revalidates membership and the box, for data arriving from outside
-        the engines."""
+        the engines; ``k`` is the class bound to use when the sidecar names
+        none."""
         meta = (dict(read_records(path + ".meta"))
                 if os.path.exists(path + ".meta") else {})
 
@@ -140,7 +141,7 @@ class GraphStore:
                 raise StoreError(
                     f"{path}.meta: malformed {key}={meta[key]!r}") from None
 
-        k = number("k", 0)
+        k = number("k", k)
         n = number("n", -1)
         e_min = number("e_min", 0)
         e_max = number("e_max")

@@ -295,6 +295,12 @@ def test_verify_checks_members_against_k(tmp_path, capsys):
     assert main(["verify", "--k", "3", "--store", str(path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "triangle" in err
+    # no sidecar, so the first member's order sets the box
+    mixed = tmp_path / "mixed.g6"
+    mixed.write_text("Dhc\nA_\n")  # C5, then K2
+    assert main(["verify", "--k", "3", "--store", str(mixed)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "outside box" in err
     c5 = _c5_store(tmp_path)
     assert main(["verify", "--k", "3", "--store", c5]) == 0
     capsys.readouterr()

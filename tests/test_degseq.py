@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -260,10 +259,8 @@ class TestClosure:
             for row in plan.rows:
                 if not row.increment:
                     continue
-                lower = dataclasses.replace(row, increment=row.increment - 1,
-                                            ceiling=row.ceiling - 1)
-                smaller = ClosurePlan(*box, [lower if r is row else r
-                                             for r in plan.rows])
+                smaller = make_plan(*box, builtin, {
+                    **plan.increments(), row.degree: row.increment - 1})
                 assert not closure_sufficiency_check(
                     *box, smaller, builtin).certified, (box, row.degree)
 

@@ -176,12 +176,14 @@ class TestManifest:
             assert open(out + suffix).read() == open(fresh + suffix).read()
 
     def test_edited_input_reruns_only_its_shards(self, tmp_path, monkeypatch):
-        path = oracle_manifest(tmp_path, 4, 7, 9)
+        path = oracle_manifest(tmp_path, 4, 6, 9)
         out = str(tmp_path / "out.g6")
         run_manifest(path, out, workers=1)
-        degree, edited = JobManifest.read(path).inputs[0]
+        inputs = JobManifest.read(path).inputs
+        assert len(inputs) == 3
+        degree, edited = inputs[1]
         lines = open(edited).read().split()
-        assert len(lines) >= 2
+        assert degree == 2 and len(lines) >= 2
         with open(edited, "w") as fh:
             fh.write("\n".join(lines[1:]) + "\n")
         calls = []
