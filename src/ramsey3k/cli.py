@@ -122,6 +122,9 @@ def cmd_closure(args) -> int:
     graphs = _read_graphs(args.mtf)
     if not graphs:
         return _error(USAGE_ERROR, f"{args.mtf} holds no graphs")
+    orders = sorted({g.n for g in graphs})
+    if len(orders) > 1:
+        return _error(USAGE_ERROR, f"{args.mtf} mixes graph orders {orders}")
     for g in graphs:
         if not is_maximal_triangle_free(g):
             print("input contains a non-maximal graph", file=sys.stderr)

@@ -387,12 +387,6 @@ class ClosurePlan:
     e: int
     rows: list = field(default_factory=list)
 
-    def row_for(self, degree: int) -> Optional[PlanRow]:
-        for r in self.rows:
-            if r.degree == degree:
-                return r
-        return None
-
     def increments(self) -> dict:
         return {r.degree: r.increment for r in self.rows}
 
@@ -406,29 +400,11 @@ class ClosurePlan:
             w.writerow([r.degree, r.m, r.base, r.increment, r.ceiling])
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str, k_plus_1: int, n: int, e: int) -> "ClosurePlan":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [c.strip() for c in rows[0]] != cls.CSV_HEADER:
-            raise ValueError("plan CSV must start with "
-                             + ",".join(cls.CSV_HEADER))
-        plan = cls(k_plus_1, n, e)
-        for row in rows[1:]:
-            if not row or not any(c.strip() for c in row):
-                continue
-            d, m, base, inc, ceil = (int(x) for x in row[:5])
-            plan.rows.append(PlanRow(d, m, base, inc, ceil))
-        return plan
-
 
 @dataclass
 class ClosureCheck:
     certified: bool
     survivors: list
-
-    @property
-    def counterexample(self) -> Optional[DegreeSequenceSolution]:
-        return self.survivors[0] if self.survivors else None
 
 
 def _feasible_rows(k_plus_1: int, n: int, table: EdgeBoundTable) -> list:

@@ -1,5 +1,5 @@
-"""Generation engines: neighborhood gluing, minimum-degree reconstruction,
-and edge-removal closure from maximal triangle-free inputs.
+"""Generation engines: neighborhood gluing, and edge-removal closure from
+maximal triangle-free inputs.
 
 The gluing engine takes a (3,k)-member H and attaches a new vertex v of
 degree d: each neighbor u_i of v is joined to an independent set S_i of H.
@@ -59,7 +59,6 @@ from typing import Callable, Iterable, Optional
 from .canon import canonical_form, canonical_with_automorphisms, rooted_key
 from .graphs import (
     CapacityError,
-    ClassParams,
     Graph,
     _alpha,
     bits,
@@ -372,38 +371,6 @@ def _hub_canonical(g: Graph, e_total: int, ceilings: dict) -> bool:
         return True
     key = rooted_key(g, hub)
     return all(key <= rooted_key(g, w) for w in rivals)
-
-
-def min_degree_extend(
-    target: ClassParams,
-    d_min_assumed: int,
-    inputs: Iterable[Graph],
-    e_max: Optional[int] = None,
-) -> dict:
-    """All target-class graphs with minimum degree exactly d_min_assumed,
-    as {canonical form: Graph}.
-
-    ``inputs`` must contain every (3, k-1; n-d-1, <= e_max - d^2)-graph; a
-    minimum-degree-d vertex has neighbors of degree >= d, so its local
-    subgraph loses at least d^2 edges.
-    """
-    d = d_min_assumed
-    k_in = target.k - 1
-    cap = target.e if e_max is None else e_max
-    if d > k_in:
-        return {}
-    # a degree-d vertex of a minimum-degree-d output has Z >= d*d, so every
-    # one of them is covered by the inputs
-    task = ExtensionTask(k=k_in, d=d, e_max=cap, d_min=d,
-                         cover=((d, cap - d * d),))
-    out: dict = {}
-    for h in inputs:
-        if h.n != target.n - d - 1:
-            raise ValueError(
-                f"input order {h.n} incompatible with target n={target.n}, d={d}")
-        for form, g in glue_extend(h, task).items():
-            out.setdefault(form, g)
-    return out
 
 
 # ---------------------------------------------------------------------------

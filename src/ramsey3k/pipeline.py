@@ -44,7 +44,10 @@ from .extend import ExtensionTask, glue_extend
 from .graphs import Graph, decode_graph6
 from .store import GraphStore, StoreError, read_lines, read_records, write_lines
 
-DEFAULT_SHARD_SIZE = 10_000
+# input lines per shard.  Part keys hash the task and the chunk, not this
+# size, so it never changes a store; a resumed run reuses the parts of an
+# earlier run only while it stays the same.
+SHARD_SIZE = 500
 # manifest and CLI names of the pruning rules: the ExtensionTask toggles
 # without their "prune_" prefix
 PRUNE_NAMES = tuple(f.name[len("prune_"):]
@@ -53,33 +56,32 @@ PRUNE_NAMES = tuple(f.name[len("prune_"):]
 
 
 def worker_count(requested: Optional[int] = None) -> int:
-    if requested is not None and requested > 0:
-        return requested
-    env = os.environ.get("RAMSEY_WORKERS")
-    if env:
+    """The requested count, else RAMSEY_WORKERS, else the CPU count; a
+    count below 1 or a RAMSEY_WORKERS that is not an integer raises
+    ValueError."""
+    source = "worker count"
+    if requested is None:
+        env = os.environ.get("RAMSEY_WORKERS")
+        if not env:
+            return os.cpu_count() or 1
+        source = "RAMSEY_WORKERS"
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
             raise ValueError(f"RAMSEY_WORKERS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
+    if requested < 1:
+        raise ValueError(f"{source} must be at least 1, got {requested}")
+    return requested
 
 
 class ManifestError(RuntimeError):
     pass
 
 
-def _positive(value: str) -> int:
-    # a shard size below 1 would cut the input into the wrong chunks
-    if int(value) < 1:
-        raise ValueError(value)
-    return int(value)
-
-
 # parsers of the single-valued manifest keys; with the repeated input= and
 # plan= lines they are every key a manifest may carry
 _SCALARS = {
     "target_k": int, "n": int, "e_max": int, "d_min": int,
-    "shard_size": _positive,
     "delta_max": lambda v: int(v) if v else None,
     "no_prune": lambda v: tuple(x for x in v.split(",") if x),
     "certified": lambda v: bool(int(v)),
@@ -93,7 +95,6 @@ class JobManifest:
     e_max: int
     d_min: int = 0
     delta_max: Optional[int] = None
-    shard_size: int = DEFAULT_SHARD_SIZE
     no_prune: tuple = ()
     inputs: list = field(default_factory=list)       # (degree, path)
     plan: Optional[ClosurePlan] = None
@@ -124,7 +125,6 @@ class JobManifest:
             f"e_max={self.e_max}",
             f"d_min={self.d_min}",
             f"delta_max={'' if self.delta_max is None else self.delta_max}",
-            f"shard_size={self.shard_size}",
             f"no_prune={','.join(self.no_prune)}",
             f"certified={int(self.certified)}",
         ]
@@ -207,8 +207,8 @@ def run_manifest(
             raise ManifestError(f"missing input file {path}")
         lines = read_lines(path)
         task = manifest.task_for(degree)
-        for idx in range(0, max(1, math.ceil(len(lines) / manifest.shard_size))):
-            chunk = lines[idx * manifest.shard_size:(idx + 1) * manifest.shard_size]
+        for idx in range(max(1, math.ceil(len(lines) / SHARD_SIZE))):
+            chunk = lines[idx * SHARD_SIZE:(idx + 1) * SHARD_SIZE]
             shards.append((_part_path(parts_dir, task, idx, chunk), chunk, task))
     current = {os.path.basename(part) for part, _, _ in shards}
     for name in set(os.listdir(parts_dir)) - current:

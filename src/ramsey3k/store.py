@@ -99,9 +99,6 @@ class GraphStore:
 
     # -- persistence ---------------------------------------------------------
 
-    def lines(self) -> list:
-        return self._lines
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         for line in self._lines:

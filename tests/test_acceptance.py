@@ -25,7 +25,7 @@ from ramsey3k.degseq import (
     propagate_bounds,
     r_upper,
 )
-from ramsey3k.extend import ExtensionTask, glue_extend, min_degree_extend
+from ramsey3k.extend import ExtensionTask, glue_extend
 from ramsey3k.graphs import (
     ClassParams,
     Graph,
@@ -39,7 +39,7 @@ from ramsey3k.graphs import (
 from ramsey3k.oracle import brute_force_graphs, min_edge_count, verify_minimality
 from ramsey3k.pipeline import Bootstrap
 
-from conftest import random_triangle_free
+from conftest import min_degree_store, random_triangle_free
 
 
 def report(num: int, ok: bool, detail: str, elapsed: float) -> None:
@@ -251,9 +251,10 @@ def test_criterion_8_property_suites(tmp_path):
                 if set(glue_extend(h, off)) != base:
                     failures.append(f"neutrality {field} m={m} k={k_in}")
 
-    # -- oracle equivalence of the minimum-degree reconstruction; classes
-    # with a binding independence constraint run at the full edge range,
-    # the near-vacuous ones at the published-regime band above the minimum
+    # -- oracle equivalence of the minimum-degree rows glued through
+    # run_manifest; classes with a binding independence constraint run at
+    # the full edge range, the near-vacuous ones at the published-regime
+    # band above the minimum
     classes = [(k, n, None) for n in range(3, 9) for k in range(3, n + 1)]
     classes += [(k, n, None) for n in (9, 10) for k in range(3, 6)]
     for n in (9, 10):
@@ -262,12 +263,9 @@ def test_criterion_8_property_suites(tmp_path):
     for k, n, e_cap in classes:
         e_max = e_cap if e_cap is not None else n * (n - 1) // 2
         want = set(oracle(n, k, e_max))
-        got = set()
-        for d in range(0, n):
-            inputs = oracle(n - d - 1, k - 1, max(0, e_max - d * d))
-            res = min_degree_extend(ClassParams(k, n, n * (n - 1) // 2),
-                                    d, inputs.values(), e_max=e_max)
-            got |= set(res)
+        box = tmp_path / f"c{k}_n{n}_e{e_max}"
+        box.mkdir()
+        got = min_degree_store(str(box), k, n, e_max, oracle).forms()
         if got != want:
             failures.append(f"oracle-equivalence (3,{k};{n},<={e_max})")
 

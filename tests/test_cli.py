@@ -191,14 +191,14 @@ BOX = "target_k=3\nn=5\ne_max=5\ncertified=1\n"
     (BOX + "plan=1,2,3\n", "plan"),
     (BOX + "done=2:0\n", "done"),
     (BOX + "regular=1\n", "regular"),
-    (BOX + "shard_size=-1\n", "shard_size"),
+    (BOX + "shard_size=500\n", "shard_size"),
     ("target_k=3\nn=5\ne_max=5\ncertified=0\n", "certificate"),
     ("target_k=4\nn=5\ne_max=5\nd_min=5\ncertified=1\n", "d_min"),
     (BOX + "delta_max=3\n", "delta_max"),
     (BOX + "d_min=2\ndelta_max=1\n", "d_min <= delta_max"),
     (BOX + "e_max=-1\n", "edge cap"),
 ], ids=["missing-key", "not-an-integer", "malformed-input", "malformed-plan",
-        "unknown-key-done", "unknown-key-regular", "nonpositive-shard-size",
+        "unknown-key-done", "unknown-key-regular", "unknown-key-shard-size",
         "uncertified", "d-min-above-window", "delta-max-above-window",
         "d-min-above-delta-max", "negative-e-max"])
 def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
@@ -245,6 +245,14 @@ def _oracle_manifest(tmp_path):
     return oracle_manifest(tmp_path)
 
 
+def _mtf_mixed_orders(tmp_path):
+    path = str(tmp_path / "mtf.g6")
+    with open(path, "w") as fh:
+        fh.write(encode_graph6(cycle(5)) + "\n"
+                 + encode_graph6(Graph.from_edges(2, [(0, 1)])) + "\n")
+    return path
+
+
 def _mtf_with_triangle(tmp_path):
     path = str(tmp_path / "mtf.g6")
     with open(path, "w") as fh:
@@ -260,6 +268,7 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
     (_store_with_bad_line, ["verify", "--k", "3", "--store"], 2),
     (_store_with_wrong_total, ["verify", "--k", "3", "--store"], 1),
     (_mtf_with_triangle, ["closure", "--k", "3", "--out", "o.g6", "--mtf"], 1),
+    (_mtf_mixed_orders, ["closure", "--k", "3", "--out", "o.g6", "--mtf"], 2),
     (_store_with_bad_line, ["count", "--store"], 2),
     (_store_with_malformed_meta, ["count", "--store"], 1),
     (None, ["plan"] + TABLE_GAP, 2),
@@ -269,11 +278,21 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
     (None, ["oracle", "--n", "-2", "--k", "3", "--out", "o.g6"], 2),
     (_oracle_manifest,
      ["RAMSEY_WORKERS=abc", "extend", "--out", "o.g6", "--manifest"], 2),
+    (_oracle_manifest,
+     ["RAMSEY_WORKERS=0", "extend", "--out", "o.g6", "--manifest"], 2),
+    (_oracle_manifest,
+     ["RAMSEY_WORKERS=-2", "extend", "--out", "o.g6", "--manifest"], 2),
+    (_oracle_manifest,
+     ["extend", "--workers", "0", "--out", "o.g6", "--manifest"], 2),
+    (_oracle_manifest,
+     ["extend", "--workers", "-2", "--out", "o.g6", "--manifest"], 2),
     (_c5_store, ["verify", "--k", "0", "--minimality", "--store"], 2),
 ], ids=["verify-bad-line", "verify-total-mismatch", "closure-triangle",
+        "closure-mixed-orders",
         "count-bad-line", "count-malformed-meta", "plan-table-gap",
         "degseq-table-gap", "degseq-dmax-above-window", "oracle-k-below-2",
-        "oracle-negative-n", "workers-env-not-an-integer", "verify-k-0"])
+        "oracle-negative-n", "workers-env-not-an-integer", "workers-env-0",
+        "workers-env-negative", "workers-0", "workers-negative", "verify-k-0"])
 def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     # leading NAME=VALUE items are environment settings, as in a shell
     env = list(itertools.takewhile(lambda item: "=" in item, argv))
@@ -284,7 +303,8 @@ def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert not (tmp_path / "o.g6").exists()
-    if make in (None, _oracle_manifest, _c5_store):  # bad arguments, good files
+    # errors the command reports itself
+    if make in (None, _oracle_manifest, _c5_store, _mtf_mixed_orders):
         assert err.startswith("ramsey3k: error:")
 
 

@@ -202,7 +202,8 @@ class TestClosure:
     def test_published_plan_certifies(self, builtin):
         plan = make_plan(8, 25, 65, builtin,
                          {2: 1, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1})
-        assert plan.row_for(2).base == 60 and plan.row_for(7).base == 25
+        bases = {r.degree: r.base for r in plan.rows}
+        assert bases[2] == 60 and bases[7] == 25
         check = closure_sufficiency_check(8, 25, 65, plan, builtin)
         assert check.certified
 
@@ -210,7 +211,7 @@ class TestClosure:
         plan = make_plan(8, 25, 65, builtin, {i: 0 for i in range(2, 8)})
         check = closure_sufficiency_check(8, 25, 65, plan, builtin)
         assert not check.certified
-        assert check.counterexample is not None
+        assert check.survivors
 
     def test_restricted_survivor(self, builtin):
         plan = make_plan(9, 32, 108, builtin, {4: 10, 5: 5, 6: 4, 7: 4, 8: 1})
@@ -263,12 +264,6 @@ class TestClosure:
                     **plan.increments(), row.degree: row.increment - 1})
                 assert not closure_sufficiency_check(
                     *box, smaller, builtin).certified, (box, row.degree)
-
-    def test_plan_csv_roundtrip(self, builtin):
-        plan = plan_closure(7, 16, 23, builtin)
-        back = ClosurePlan.from_csv(plan.to_csv(), 7, 16, 23)
-        assert {(r.degree, r.increment) for r in back.rows} == \
-               {(r.degree, r.increment) for r in plan.rows}
 
 
 class TestPropagation:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import os
 
 import pytest
 
@@ -10,11 +11,9 @@ from ramsey3k.extend import (
     edge_removal_closure,
     glue_extend,
     is_maximal_triangle_free,
-    min_degree_extend,
 )
 from ramsey3k.graphs import (
     CapacityError,
-    ClassParams,
     Graph,
     local_subgraph,
     validate_member,
@@ -22,7 +21,8 @@ from ramsey3k.graphs import (
 from ramsey3k.indepcache import TABLE_MAX_ORDER, independent_sets
 from ramsey3k.oracle import brute_force_graphs, naive_mtf_set
 
-from conftest import cycle, path, petersen, random_triangle_free
+from conftest import (cycle, min_degree_store, path, petersen,
+                      random_triangle_free)
 
 # prune_canonical is left out: it is neutral per store, not per host, and is
 # checked at store level in test_pipeline.py and test_cli.py
@@ -197,26 +197,26 @@ def test_search_state_freed_without_collector():
 
 
 class TestMinDegreeExtend:
-    def test_c5_class(self):
-        k2 = Graph.from_edges(2, [(0, 1)])
-        res = min_degree_extend(ClassParams(3, 5, 5), 2, [k2])
-        assert list(res) == [canonical_form(cycle(5))]
+    """Minimum-degree rows glued through run_manifest give the whole class;
+    the strict merge checks that each member is glued once."""
 
-    def test_oracle_equivalence_small(self):
+    def test_c5_class(self, tmp_path):
+        store = min_degree_store(str(tmp_path), 3, 5, 5)
+        assert store.complete
+        assert list(store.forms()) == [canonical_form(cycle(5))]
+
+    def test_oracle_equivalence_small(self, tmp_path):
         for (k, n, e_max) in [(4, 8, 10), (5, 9, 36), (4, 7, 21)]:
-            want = set(brute_force_graphs(n, k, e_max))
-            got = set()
-            for d in range(0, n):
-                inputs = brute_force_graphs(n - d - 1, k - 1,
-                                            max(0, e_max - d * d))
-                res = min_degree_extend(ClassParams(k, n, e_max), d,
-                                        inputs.values())
-                got |= set(res)
-            assert got == want, (k, n)
+            box = tmp_path / f"c{k}_n{n}_e{e_max}"
+            box.mkdir()
+            store = min_degree_store(str(box), k, n, e_max)
+            assert store.forms() == set(brute_force_graphs(n, k, e_max)), (k, n)
 
-    def test_unachievable_degree_empty(self):
-        res = min_degree_extend(ClassParams(3, 7, 9), 5, [])
-        assert res == {}
+    def test_unachievable_degree_empty(self, tmp_path):
+        # R(3,3) = 6: no (3,3;7)-member, so no degree has a row
+        store = min_degree_store(str(tmp_path), 3, 7, 9)
+        assert store.complete and len(store) == 0
+        assert not os.listdir(str(tmp_path / "out.g6.parts"))
 
 
 class TestMaximalTriangleFree:

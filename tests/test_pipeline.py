@@ -29,15 +29,15 @@ def write_inputs(tmp_path, name, graphs):
     return path
 
 
-def oracle_manifest(tmp_path, k=3, n=5, e=5, shard_size=10_000):
+def oracle_manifest(tmp_path, k=3, n=5, e=5):
     """Certified manifest for the (k; n, <=e) box with oracle inputs."""
     plan = plan_closure(k, n, e, data.builtin_table(10))
     inputs = [(row.degree, write_inputs(
         tmp_path, f"d{row.degree}.g6",
         brute_force_graphs(row.m, k - 1, row.ceiling).values()))
         for row in plan.rows if row.increment > 0]
-    manifest = JobManifest(target_k=k, n=n, e_max=e, shard_size=shard_size,
-                           inputs=inputs, plan=plan, certified=True)
+    manifest = JobManifest(target_k=k, n=n, e_max=e, inputs=inputs,
+                           plan=plan, certified=True)
     path = str(tmp_path / "job.manifest")
     manifest.write(path)
     return path
@@ -67,8 +67,9 @@ class TestManifest:
         assert open(out).read() == first
         assert open(out + ".meta").read() == first_meta
 
-    def test_resume_after_interruption(self, tmp_path):
-        path = oracle_manifest(tmp_path, shard_size=1)
+    def test_resume_after_interruption(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "SHARD_SIZE", 1)
+        path = oracle_manifest(tmp_path)
         out = str(tmp_path / "out.g6")
         full = run_manifest(path, out).forms()
         # simulate an interrupted run: drop one part file
@@ -78,7 +79,8 @@ class TestManifest:
         assert resumed.forms() == full
 
     def test_rerun_recomputes_only_missing_parts(self, tmp_path, monkeypatch):
-        path = oracle_manifest(tmp_path, 4, 6, 9, shard_size=1)
+        monkeypatch.setattr(pipeline, "SHARD_SIZE", 1)
+        path = oracle_manifest(tmp_path, 4, 6, 9)
         out = str(tmp_path / "out.g6")
         run_manifest(path, out, workers=1)
         written = [open(out + s, "rb").read() for s in ("", ".meta")]
@@ -101,8 +103,9 @@ class TestManifest:
         assert os.path.exists(lost)
         assert [open(out + s, "rb").read() for s in ("", ".meta")] == written
 
-    def test_run_leaves_manifest_unchanged(self, tmp_path):
-        path = oracle_manifest(tmp_path, shard_size=1)
+    def test_run_leaves_manifest_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "SHARD_SIZE", 1)
+        path = oracle_manifest(tmp_path)
         before = open(path, "rb").read()
         run_manifest(path, str(tmp_path / "out.g6"))
         assert open(path, "rb").read() == before
@@ -112,8 +115,24 @@ class TestManifest:
         assert worker_count(None) == 3
         assert worker_count(2) == 2
 
-    def test_workers_two_identical(self, tmp_path):
-        path = oracle_manifest(tmp_path, shard_size=1)
+    def test_shard_size_does_not_change_store(self, tmp_path, monkeypatch):
+        path = oracle_manifest(tmp_path, 4, 6, 9)
+        written, parts = set(), {}
+        for size in (1, pipeline.SHARD_SIZE):
+            monkeypatch.setattr(pipeline, "SHARD_SIZE", size)
+            for workers in (1, 2):
+                out = str(tmp_path / f"s{size}_w{workers}.g6")
+                run_manifest(path, out, workers=workers)
+                written.add(tuple(open(out + s, "rb").read()
+                                  for s in ("", ".meta")))
+                parts[size] = len(os.listdir(out + ".parts"))
+        assert len(written) == 1
+        # rows d = 1, 2, 3 glue 1, 2 and 1 inputs
+        assert parts == {1: 4, pipeline.SHARD_SIZE: 3}
+
+    def test_workers_two_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "SHARD_SIZE", 1)
+        path = oracle_manifest(tmp_path)
         out1 = str(tmp_path / "a.g6")
         out2 = str(tmp_path / "b.g6")
         run_manifest(path, out1, workers=1)
@@ -121,8 +140,9 @@ class TestManifest:
         run_manifest(path, out2, workers=2)
         assert open(out1).read() == open(out2).read()
 
-    def test_parallel_failure_keeps_finished_shards(self, tmp_path):
-        path = oracle_manifest(tmp_path, 4, 6, 9, shard_size=1)
+    def test_parallel_failure_keeps_finished_shards(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "SHARD_SIZE", 1)
+        path = oracle_manifest(tmp_path, 4, 6, 9)
         inputs = JobManifest.read(path).inputs
         finished = {(degree, idx) for degree, p in inputs
                     for idx in range(max(1, len(open(p).readlines())))}
@@ -142,14 +162,15 @@ class TestManifest:
         run_manifest(path, out, workers=2)
         serial = tmp_path / "serial"
         serial.mkdir()
-        run_manifest(oracle_manifest(serial, 4, 6, 9, shard_size=1),
+        run_manifest(oracle_manifest(serial, 4, 6, 9),
                      str(serial / "out.g6"), workers=1)
         for suffix in ("", ".meta"):
             assert open(out + suffix).read() == \
                 open(str(serial / "out.g6") + suffix).read()
 
-    def test_failed_first_shard_keeps_later_parts(self, tmp_path):
-        path = oracle_manifest(tmp_path, 4, 6, 9, shard_size=1)
+    def test_failed_first_shard_keeps_later_parts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "SHARD_SIZE", 1)
+        path = oracle_manifest(tmp_path, 4, 6, 9)
         inputs = JobManifest.read(path).inputs
         first = inputs[0][1]
         write_lines(first, ["A~"] + read_lines(first)[1:])  # nonzero padding
