@@ -222,12 +222,6 @@ class DegreeSequenceSolution:
     e: int
     slack: int             # n*e - sum n_i (i^2 + bound)
 
-    def count(self, degree: int) -> int:
-        for d, c in self.counts:
-            if d == degree:
-                return c
-        return 0
-
     def nonzero(self) -> dict:
         return {d: c for d, c in self.counts if c}
 
@@ -449,6 +443,18 @@ def closure_sufficiency_check(
     return ClosureCheck(not survivors, survivors)
 
 
+def _survivors(sequences: list, t: dict) -> list:
+    """(slack, counts) of the sequences a plan with increments ``t`` misses,
+    given each sequence's slack under the zero plan and its nonzero degree
+    counts: raising t_i lowers a sequence's slack by its count n_i."""
+    out = []
+    for slack, counts in sequences:
+        slack -= sum(c * t[i] for i, c in counts.items())
+        if slack >= 0:
+            out.append((slack, counts))
+    return out
+
+
 def plan_closure(
     k_plus_1: int,
     n: int,
@@ -471,7 +477,10 @@ def plan_closure(
     certificate still holds.  Lowering an increment only adds surviving
     sequences, so an increment that could not drop when visited cannot drop
     later either: no single increment of the result can drop by one.
-    Raises RuntimeError when no certified plan is found.
+
+    Both phases filter the zero plan's survivors (``_survivors``), and
+    ``closure_sufficiency_check`` certifies the returned plan.  Raises
+    RuntimeError when no certified plan is found.
     """
     feasible = _feasible_rows(k_plus_1, n, table)
     t = {i: 0 for i, _, _ in feasible}
@@ -483,21 +492,25 @@ def plan_closure(
             plan.rows.append(PlanRow(i, m, base, t[i], base + t[i] - 1))
         return plan
 
+    sequences = [(sol.slack, sol.nonzero()) for sol in closure_sufficiency_check(
+        k_plus_1, n, e, build_plan(), table).survivors]
+
     for _ in range(PLAN_MAX_ROUNDS):
-        check = closure_sufficiency_check(k_plus_1, n, e, build_plan(), table)
-        if check.certified:
+        alive = _survivors(sequences, t)
+        if not alive:
             break
+        killed, mass = dict.fromkeys(t, 0), dict.fromkeys(t, 0)
+        for slack, counts in alive:
+            for i, c in counts.items():
+                mass[i] += c
+                if slack < c:
+                    killed[i] += 1
         best = None
         for i, _, _ in feasible:
-            killed = sum(
-                1 for sol in check.survivors
-                if sol.slack - sol.count(i) < 0
-            )
-            mass = sum(sol.count(i) for sol in check.survivors)
-            if mass == 0:
+            if mass[i] == 0:
                 continue
             marginal = 20.0 ** (t[i] + 1) - (20.0 ** t[i] if t[i] else 0.0)
-            score = (killed + 0.01 * mass) / marginal
+            score = (killed[i] + 0.01 * mass[i]) / marginal
             key = (score, -abs(i - avg), -i)
             if best is None or key > best[0]:
                 best = (key, i)
@@ -511,11 +524,13 @@ def plan_closure(
     for i in sorted((i for i in t if t[i]), key=lambda i: (-t[i], i)):
         while t[i]:
             t[i] -= 1
-            if not closure_sufficiency_check(k_plus_1, n, e, build_plan(),
-                                             table).certified:
+            if _survivors(sequences, t):
                 t[i] += 1
                 break
-    return build_plan()
+    plan = build_plan()
+    if not closure_sufficiency_check(k_plus_1, n, e, plan, table).certified:
+        raise RuntimeError(f"plan for ({k_plus_1};{n},<={e}) does not certify")
+    return plan
 
 
 # ---------------------------------------------------------------------------

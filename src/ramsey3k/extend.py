@@ -35,11 +35,12 @@ graph e(G) - Z(v) is the edge count of v's local subgraph.  With inputs
 complete up to those ceilings, every covered v is a hub that some input
 yields.  The other prunings keep every output up to isomorphism fixing the
 hub, so for the canonical covered orbit of G some input produces a copy of
-G with its hub in that orbit, and that copy passes the test.  A certified
-closure plan gives every output a covered vertex, so each output is kept
-from one degree row and one input only; ``run_manifest`` checks this when
-it merges the parts, and raises on a repeated output.  With an empty cover
-the rule does nothing.
+G with its hub in that orbit, and that copy passes the test.  A hub that
+is not covered is never canonical, so its host yields nothing.  A
+certified closure plan gives every output a covered vertex, so each output
+is kept from one degree row and one input only; ``run_manifest`` checks
+this when it merges the parts, and raises on a repeated output.  With an
+empty cover the rule does nothing.
 
 Disabling any of the first six must not change the output set of a single
 host; disabling the canonical rule must not change the output set of a
@@ -102,6 +103,11 @@ class ExtensionTask:
     def degree_cap(self) -> int:
         return self.k if self.delta_max is None else self.delta_max
 
+    @property
+    def canonical_rule(self) -> bool:
+        """Whether canonical-hub acceptance is active: on, with a cover."""
+        return self.prune_canonical and bool(self.cover)
+
 
 def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     """All (3,k+1; m+d+1, <=e_max)-graphs with a degree-d hub whose local
@@ -123,6 +129,9 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     if d < task.d_min or d > cap:
         return out
     e_h = H.edge_count()
+    # the hub's local subgraph is H: uncovered when d has no ceiling (-1)
+    if task.canonical_rule and e_h > dict(task.cover).get(d, -1):
+        return out
     budget = task.e_max - e_h - d
     if budget < 0:
         return out
@@ -130,11 +139,11 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     adj = H.adj
     full = (1 << m) - 1
     deg0 = [row.bit_count() for row in adj]
-    table = None  # built below, once there are sets to assign
+    table = None  # built below; saturated at k-1, the largest order asked
 
     def alpha_ge(mask: int, r: int) -> bool:
-        if table is not None and table.band_low <= r <= table.band_high:
-            return table.cells[mask] >= r
+        if table is not None:
+            return table[mask] >= r
         return _alpha(adj, mask, r)[0] >= r
 
     if d == 0:
@@ -149,9 +158,9 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     if not sets:
         return out
     orders = [s.bit_count() for s in sets]
-    # the table answers orders k+1-d .. k-1, which is empty below d = 2
+    # a degree-1 hub asks no independence question
     if d >= 2 and m <= TABLE_MAX_ORDER:
-        table = build_independence_table(H, k, d)
+        table = build_independence_table(H, k)
 
     # each discovered automorphism of H, as a permutation of the set list;
     # a prefix is skipped when one of them maps it to a smaller sorted index
@@ -182,7 +191,7 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
         row = compat[a]
         if row is None:
             if table is not None:
-                cells = np.frombuffer(table.cells, dtype=np.uint8)
+                cells = np.frombuffer(table, dtype=np.uint8)
                 ok = cells[full & ~(set_array | sets[a])] < k - 1
                 row = int.from_bytes(
                     np.packbits(ok, bitorder="little").tobytes(), "little")
@@ -323,8 +332,7 @@ def _accept(H: Graph, assigned, task: ExtensionTask, out: dict,
         if t >= lo_t and alpha_ge(full & ~mask, task.k + 1 - t):
             return
     g = _assemble(H, assigned)
-    if task.prune_canonical and task.cover and \
-            not _hub_canonical(g, e_total, dict(task.cover)):
+    if task.canonical_rule and not _hub_canonical(g, e_total, dict(task.cover)):
         return
     out.setdefault(canonical_form(g), g)
 

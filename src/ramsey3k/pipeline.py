@@ -226,8 +226,7 @@ def run_manifest(
         for shard in pending:
             _run_shard(shard)
 
-    rule = manifest.task_for(0)  # every degree's task has the same cover
-    strict = rule.prune_canonical and bool(rule.cover)
+    strict = manifest.task_for(0).canonical_rule  # one cover for every degree
     merged: list = []
     for line in heapq.merge(*(read_lines(part) for part, _, _ in shards)):
         if merged and merged[-1] == line:
@@ -267,10 +266,11 @@ class Bootstrap:
     table, and its closure certificate guarantees completeness.
 
     Values are found by probing: generate at the solver lower bound, and
-    raise the ceiling until the class is realized.  Everything is memoized
-    on disk under ``root``.  Each level is glued by ``run_manifest`` from a
-    ``<store>.manifest`` written next to its store, on ``worker_count()``
-    processes.
+    raise the ceiling until the class is realized.  Each level is glued by
+    ``run_manifest`` from a ``<store>.manifest`` written next to its store,
+    on ``worker_count()`` processes.  Stores are memoized in memory only:
+    across instances work is reused through the keyed part files alone,
+    and a store file is never read, only rewritten.
     """
 
     def __init__(self, root: str):
@@ -325,18 +325,13 @@ class Bootstrap:
         for (kk, nn, cap), st in self._stores.items():
             if (kk, nn) == (k, n) and cap >= e_cap:
                 return st.restricted(e_cap) if cap > e_cap else st
-        path = self.store_path(k, n, e_cap)
-        if os.path.exists(path):
-            st = GraphStore.read(path)
-            if st.complete:
-                self._stores[(k, n, e_cap)] = st
-                return st
-        st = self._generate(k, n, e_cap, path)
+        st = self._generate(k, n, e_cap)
         self._stores[(k, n, e_cap)] = st
         return st
 
-    def _generate(self, k: int, n: int, e_cap: int, path: str) -> GraphStore:
-        """Build the store and write it to ``path``."""
+    def _generate(self, k: int, n: int, e_cap: int) -> GraphStore:
+        """Build the store and write it to its ``store_path``."""
+        path = self.store_path(k, n, e_cap)
         if k == 1 or n == 0:
             # the extension engines reconstruct graphs through a vertex, so
             # the vertexless base case is seeded directly

@@ -14,6 +14,7 @@ from ramsey3k.degseq import (
     InfiniteBoundError,
     MissingBoundError,
     PlanRow,
+    _survivors,
     closed_form_e,
     closure_sufficiency_check,
     feasible_sequences,
@@ -103,7 +104,7 @@ class TestSolver:
         rows = []
         for e in range(185, 190):
             rows += feasible_sequences(10, 42, e, builtin, d_lo=7, d_hi=9)
-        got = {(s.count(7), s.count(8), s.count(9), s.e, s.slack) for s in rows}
+        got = {(*(c for _, c in s.counts), s.e, s.slack) for s in rows}
         want = {
             (0, 8, 34, 185, 24), (1, 6, 35, 185, 25), (2, 4, 36, 185, 26),
             (3, 2, 37, 185, 27), (4, 0, 38, 185, 28),
@@ -239,6 +240,20 @@ class TestClosure:
     def test_plan_closure_pinned(self, builtin, box, increments):
         plan = plan_closure(*box, builtin)
         assert {d: t for d, t in plan.increments().items() if t} == increments
+
+    @pytest.mark.parametrize("box", [(7, 16, 23), (8, 25, 65), (9, 27, 61)])
+    def test_survivors_filter_zero_plan(self, builtin, rng, box):
+        # a plan's survivors are the zero plan's with slack - sum n_i t_i >= 0
+        degrees = [r.degree for r in plan_closure(*box, builtin).rows]
+        zero = closure_sufficiency_check(
+            *box, make_plan(*box, builtin, dict.fromkeys(degrees, 0)), builtin)
+        sequences = [(sol.slack, sol.nonzero()) for sol in zero.survivors]
+        for _ in range(12):
+            t = {i: rng.choice([0, 0, 1, 2, 3, 5]) for i in degrees}
+            check = closure_sufficiency_check(
+                *box, make_plan(*box, builtin, t), builtin)
+            assert _survivors(sequences, t) == [
+                (sol.slack, sol.nonzero()) for sol in check.survivors], t
 
     def test_plan_closure_minimal(self, builtin):
         # every b-flagged grid box, then the oracle-sized boxes up to three

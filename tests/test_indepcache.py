@@ -41,54 +41,44 @@ class TestIndependentSets:
 
 class TestIndependenceTable:
     def test_c5_band(self):
-        t = build_independence_table(cycle(5), k=3, d=2)
-        assert (t.band_low, t.band_high) == (2, 2)
-        assert t.cells[0b00101] == 2      # {0, 2} independent
-        assert t.cells[0b00011] == 0      # {0, 1} is an edge
-        assert t.cells[0b11111] == 2
+        t = build_independence_table(cycle(5), k=3)
+        assert t[0b00101] == 2      # {0, 2} independent
+        assert t[0b00011] == 1      # {0, 1} is an edge
+        assert t[0b11111] == 2
+        assert t[0] == 0
 
     def test_edgeless_band(self):
-        t = build_independence_table(Graph.empty(4), k=4, d=3)
-        assert (t.band_low, t.band_high) == (2, 3)
-        assert t.cells[0b0011] == 2
-        assert t.cells[0b0111] == 3
-        assert t.cells[0b1111] == 3       # capped at band_high
+        t = build_independence_table(Graph.empty(4), k=4)
+        assert t[0b0001] == 1
+        assert t[0b0011] == 2
+        assert t[0b0111] == 3
+        assert t[0b1111] == 3       # saturated at k - 1
 
     def test_petersen_random_subsets(self, rng):
         pet = petersen()
-        t = build_independence_table(pet, k=5, d=4)
+        t = build_independence_table(pet, k=5)
         for _ in range(1000):
             mask = rng.randrange(1 << 10)
-            alpha = brute_alpha_subset(pet, mask)
-            want = min(alpha, 4) if alpha >= 2 else 0
-            assert t.cells[mask] == want, bin(mask)
+            assert t[mask] == min(brute_alpha_subset(pet, mask), 4), bin(mask)
 
     def test_cell_semantics_random(self, rng):
         g = random_triangle_free(9, 0.3, rng)
         k = independence_number(g) + 1
-        d = min(4, k - 1)
-        t = build_independence_table(g, k, d)
+        t = build_independence_table(g, k)
         for mask in range(0, 1 << 9, 7):
-            alpha = brute_alpha_subset(g, mask)
-            if alpha < t.band_low:
-                assert t.cells[mask] == 0
-            else:
-                assert t.cells[mask] == min(alpha, t.band_high)
+            assert t[mask] == min(brute_alpha_subset(g, mask), k - 1)
 
     def test_order_cap(self):
         with pytest.raises(CapacityError):
-            build_independence_table(Graph.empty(TABLE_MAX_ORDER + 1), k=3, d=2)
+            build_independence_table(Graph.empty(TABLE_MAX_ORDER + 1), k=3)
 
     def test_every_subset_against_brute_force(self, rng):
-        # every cell of every valid band, on triangle-free graphs of order
-        # 0..12, against the independence number of the induced subgraph
+        # every cell, on triangle-free graphs of order 0..12, against the
+        # independence number of the induced subgraph saturated at k - 1
         for n in range(13):
             g = random_triangle_free(n, rng.choice([0.2, 0.4, 0.7]), rng)
             alphas = [brute_alpha_subset(g, mask) for mask in range(1 << n)]
             for k in range(max(alphas) + 1, n + 3):
-                for d in range(1, k + 1):
-                    t = build_independence_table(g, k, d)
-                    assert type(t.cells) is bytearray
-                    want = bytes(min(a, k - 1) if a >= k + 1 - d else 0
-                                 for a in alphas)
-                    assert bytes(t.cells) == want, (n, k, d)
+                t = build_independence_table(g, k)
+                assert type(t) is bytearray
+                assert bytes(t) == bytes(min(a, k - 1) for a in alphas), (n, k)

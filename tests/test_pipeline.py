@@ -16,7 +16,7 @@ from ramsey3k.pipeline import (
     run_manifest,
     worker_count,
 )
-from ramsey3k.store import StoreError, read_lines, write_lines
+from ramsey3k.store import GraphStore, StoreError, read_lines, write_lines
 
 from conftest import cycle
 
@@ -321,6 +321,26 @@ class TestCanonicalRule:
         assert sum(len(forms) for forms in parts.values()) == len(store)
         assert set().union(*parts.values()) == store.forms()
 
+    @pytest.mark.parametrize("k, n, e", [(4, 7, 9), (5, 10, 20)])
+    def test_inputs_above_ceilings(self, tmp_path, k, n, e):
+        # each input holds its whole class, above the plan row's ceiling;
+        # a host whose hub is not covered yields nothing, so no output is
+        # glued twice and the store is the same
+        bs = Bootstrap(str(tmp_path / "bs"))
+        bs.store(k, n, e)
+        m = JobManifest.read(bs.store_path(k, n, e) + ".manifest")
+        inputs = []
+        for degree, original in m.inputs:
+            full = brute_force_graphs(n - degree - 1, k - 1)
+            assert set(read_lines(original)) < set(full)
+            inputs.append((degree, write_inputs(
+                tmp_path, f"full{degree}.g6", full.values())))
+        m.inputs = inputs
+        path = str(tmp_path / "full.manifest")
+        m.write(path)
+        store = run_manifest(path, str(tmp_path / "out.g6"), workers=1)
+        assert store.forms() == set(brute_force_graphs(n, k, e))
+
     def test_fewer_leaves_labelled(self, tmp_path, monkeypatch):
         labelled = []
 
@@ -374,13 +394,50 @@ class TestBootstrap:
             assert m.plan.rows == plan_closure(m.target_k, m.n, m.e_max,
                                                table).rows, path.name
 
-    def test_disk_cache_reused(self, tmp_path):
+    def test_disk_cache_reused(self, tmp_path, monkeypatch):
         root = str(tmp_path / "bs")
         bs = Bootstrap(root)
         st = bs.store(3, 5, 5)
+        calls = []
+        monkeypatch.setattr(pipeline, "_run_shard", calls.append)
         bs2 = Bootstrap(root)
         st2 = bs2.store(3, 5, 5)
+        assert calls == []
         assert st2.forms() == st.forms()
+
+    def test_warm_root_reglues_nothing(self, tmp_path, monkeypatch):
+        # a second Bootstrap merges every level from its parts and rewrites
+        # every state file with the same bytes
+        root = tmp_path / "bs"
+        Bootstrap(str(root)).store(4, 8, 12)
+        files = sorted(p for p in root.iterdir() if p.is_file())
+        assert {p.suffix for p in files} == {".g6", ".meta", ".manifest"}
+        before = [p.read_bytes() for p in files]
+        for p in files:
+            os.utime(p, (0, 0))
+        calls = []
+        monkeypatch.setattr(pipeline, "_run_shard", calls.append)
+        st = Bootstrap(str(root)).store(4, 8, 12)
+        assert calls == []
+        assert st.forms() == set(brute_force_graphs(8, 4, 12))
+        assert sorted(p for p in root.iterdir() if p.is_file()) == files
+        assert [p.read_bytes() for p in files] == before
+        assert all(p.stat().st_mtime > 0 for p in files)
+
+    def test_edited_store_not_trusted(self, tmp_path):
+        # a store file claiming completeness is never read back: the level
+        # is merged from its keyed parts and the file is rewritten
+        root = str(tmp_path / "bs")
+        path = Bootstrap(root).store_path(4, 8, 12)
+        Bootstrap(root).store(4, 8, 12)
+        written = [open(path + s, "rb").read() for s in ("", ".meta")]
+        lines = read_lines(path)
+        assert len(lines) == 3
+        GraphStore(4, 8, 0, 12, complete=True, certificate="plan:bogus",
+                   lines=lines[1:]).write(path)
+        st = Bootstrap(root).store(4, 8, 12)
+        assert st.forms() == set(brute_force_graphs(8, 4, 12))
+        assert [open(path + s, "rb").read() for s in ("", ".meta")] == written
 
     def test_workers_do_not_change_store(self, tmp_path, monkeypatch):
         written = []
