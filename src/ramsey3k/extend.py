@@ -5,14 +5,16 @@ The gluing engine takes a (3,k)-member H and attaches a new vertex v of
 degree d: each neighbor u_i of v is joined to an independent set S_i of H.
 The expanded graph is triangle-free by construction (the S_i are
 independent and the u_i are pairwise non-adjacent), so the search is only
-about keeping the independence number below k+1 while meeting the edge and
-degree windows.  Seven prunings cut the recursion and the leaves:
+about keeping the independence number below k+1 and the edge count within
+its cap.  Every degree of an output stays at most k, since each
+neighbourhood of a (3,k+1)-graph is independent; a vertex of H pushed above
+k kills its branch.  Seven prunings cut the recursion and the leaves:
 
   * pair test      -- S and an assigned S_j force an independent (k+1)-set
                       when the rest of H holds an independent (k-1)-set;
                       the compatibility row of S answers it for every S_j;
-  * forbidden      -- vertices whose degree reached the output cap reject
-                      every set containing them;
+  * forbidden      -- a vertex that reached degree k rejects every set
+                      containing it;
   * ascending      -- sets are assigned in non-decreasing (order, mask)
                       position, which both removes permuted duplicates and
                       makes small sets fail early;
@@ -75,13 +77,12 @@ from .indepcache import (
 
 @dataclass(frozen=True)
 class ExtensionTask:
-    """One gluing unit: extend (3,k)-members by a degree-d hub vertex."""
+    """One gluing unit: extend (3,k)-members by a degree-d hub vertex,
+    0 <= d <= k, into (3,k+1)-graphs with at most e_max edges."""
 
     k: int                      # input class bound; the target class is k+1
     d: int                      # degree of the new hub vertex
     e_max: int                  # edge cap for outputs
-    d_min: int = 0              # minimum degree of outputs
-    delta_max: Optional[int] = None   # maximum degree; None means k
     cover: tuple = ()           # (degree, ceiling) pairs of the closure plan
     prune_pair: bool = True
     prune_forbidden: bool = True
@@ -92,16 +93,10 @@ class ExtensionTask:
     prune_canonical: bool = True        # hub must be the canonical covered vertex
 
     def __post_init__(self):
-        if not self.d_min <= self.degree_cap <= self.k:
-            raise ValueError(
-                f"need d_min <= delta_max <= k, got {self.d_min}, "
-                f"{self.degree_cap}, {self.k}")
-        if self.d < 0 or self.e_max < 0:
-            raise ValueError("negative degree or edge cap")
-
-    @property
-    def degree_cap(self) -> int:
-        return self.k if self.delta_max is None else self.delta_max
+        if not 0 <= self.d <= self.k:
+            raise ValueError(f"hub degree {self.d} outside 0..{self.k}")
+        if self.e_max < 0:
+            raise ValueError("negative edge cap")
 
     @property
     def canonical_rule(self) -> bool:
@@ -113,7 +108,8 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     """All (3,k+1; m+d+1, <=e_max)-graphs with a degree-d hub whose local
     subgraph is H, up to isomorphism, as {canonical form: Graph}.
 
-    d-regular outputs are asked for by d_min = delta_max = d.
+    Each hub neighbour is joined to an independent set of H of order at
+    most k-1; a vertex of H is in at most k - deg_H(w) of them.
     """
     import numpy as np  # here, so the pure-Python paths never load it
 
@@ -125,9 +121,6 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
         raise CapacityError(f"output order {n_out} exceeds 64")
     validate_member(H, k)
     out: dict = {}
-    cap = task.degree_cap
-    if d < task.d_min or d > cap:
-        return out
     e_h = H.edge_count()
     # the hub's local subgraph is H: uncovered when d has no ceiling (-1)
     if task.canonical_rule and e_h > dict(task.cover).get(d, -1):
@@ -138,7 +131,6 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
 
     adj = H.adj
     full = (1 << m) - 1
-    deg0 = [row.bit_count() for row in adj]
     table = None  # built below; saturated at k-1, the largest order asked
 
     def alpha_ge(mask: int, r: int) -> bool:
@@ -147,14 +139,10 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
         return _alpha(adj, mask, r)[0] >= r
 
     if d == 0:
-        _accept(H, (), task, out, alpha_ge, deg0, e_h)
+        _accept(H, (), task, out, alpha_ge, e_h)
         return out
 
-    lo = max(0, task.d_min - 1)
-    hi = min(k - 1, cap - 1, budget)
-    if hi < lo:
-        return out
-    sets = independent_sets(H, lo, hi)
+    sets = independent_sets(H, 0, min(k - 1, budget))
     if not sets:
         return out
     orders = [s.bit_count() for s in sets]
@@ -208,7 +196,7 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
                 forb_sets: int, size_sum: int):
         i = len(assigned)
         if i == d:
-            _accept(H, assigned, task, out, alpha_ge, degs, e_h + d + size_sum)
+            _accept(H, assigned, task, out, alpha_ge, e_h + d + size_sum)
             return
         remaining = d - i
         scan = eligible  # the upward scan visits sets in (order, mask) order
@@ -219,7 +207,7 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
             s = sets[idx]
             sz = orders[idx]
             if task.prune_edge_bound:
-                low_order = sz if task.prune_ascending else lo
+                low_order = sz if task.prune_ascending else 0
                 if e_h + d + size_sum + sz + low_order * (remaining - 1) > task.e_max:
                     if task.prune_ascending:
                         break  # eligible is (order, mask)-sorted: no smaller set follows
@@ -238,11 +226,11 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
                 w = (mm & -mm).bit_length() - 1
                 mm &= mm - 1
                 nd = new_degs[w] + 1
-                if nd > cap:
+                if nd > k:
                     dead = True
                     break
                 new_degs[w] = nd
-                if nd == cap:
+                if nd == k:
                     new_forb |= contains[w]
             if dead:
                 continue
@@ -265,10 +253,8 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
                     size_sum + sz)
             assigned.pop()
 
-    at_cap = sum(1 << w for w in range(m) if deg0[w] >= cap)
-    forb0 = sum(1 << i for i, s in enumerate(sets) if s & at_cap)
-    root = ((1 << len(sets)) - 1) & ~(forb0 if task.prune_forbidden else 0)
-    descend(root, (), 0, deg0, forb0, 0)
+    # H is a (3,k)-member, so every degree is below k: no set starts forbidden
+    descend((1 << len(sets)) - 1, (), 0, [row.bit_count() for row in adj], 0, 0)
     # descend refers to itself through its closure cell; breaking that cycle
     # frees the sets, rows and table now instead of at the next collection
     del descend
@@ -303,22 +289,17 @@ def _assemble(H: Graph, assigned) -> Graph:
 
 
 def _accept(H: Graph, assigned, task: ExtensionTask, out: dict,
-            alpha_ge: Callable[[int, int], bool], h_degs: list,
-            e_total: int) -> None:
-    """Leaf test: degree window, edge cap, independence bound.
+            alpha_ge: Callable[[int, int], bool], e_total: int) -> None:
+    """Leaf test: edge cap, independence bound.  Degrees need no test: the
+    descent kills every vertex pushed above k.
 
     An independent (k+1)-set of the output misses the hub (H has none of
     order k), so it is |T| hub neighbors plus a (k+1-|T|)-set of H avoiding
     their sets; |T| <= 1 is ruled out by alpha(H) < k, and pairs were
     already vetted during the descent when the pair test is on.
     """
-    cap = task.degree_cap
     if e_total > task.e_max:
         return
-    for w in range(H.n):
-        dw = h_degs[w]
-        if dw < task.d_min or dw > cap:
-            return
     full = (1 << H.n) - 1
     lo_t = 3 if task.prune_pair else 2
     # unions over all subsets T of the assigned sets

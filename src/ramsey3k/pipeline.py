@@ -81,8 +81,7 @@ class ManifestError(RuntimeError):
 # parsers of the single-valued manifest keys; with the repeated input= and
 # plan= lines they are every key a manifest may carry
 _SCALARS = {
-    "target_k": int, "n": int, "e_max": int, "d_min": int,
-    "delta_max": lambda v: int(v) if v else None,
+    "target_k": int, "n": int, "e_max": int,
     "no_prune": lambda v: tuple(x for x in v.split(",") if x),
     "certified": lambda v: bool(int(v)),
 }
@@ -93,8 +92,6 @@ class JobManifest:
     target_k: int
     n: int
     e_max: int
-    d_min: int = 0
-    delta_max: Optional[int] = None
     no_prune: tuple = ()
     inputs: list = field(default_factory=list)       # (degree, path)
     plan: Optional[ClosurePlan] = None
@@ -112,8 +109,6 @@ class JobManifest:
             k=self.target_k - 1,
             d=degree,
             e_max=self.e_max,
-            d_min=self.d_min,
-            delta_max=self.delta_max,
             cover=cover,
             **toggles,
         )
@@ -123,8 +118,6 @@ class JobManifest:
             f"target_k={self.target_k}",
             f"n={self.n}",
             f"e_max={self.e_max}",
-            f"d_min={self.d_min}",
-            f"delta_max={'' if self.delta_max is None else self.delta_max}",
             f"no_prune={','.join(self.no_prune)}",
             f"certified={int(self.certified)}",
         ]
@@ -138,8 +131,10 @@ class JobManifest:
 
     @classmethod
     def read(cls, path: str) -> "JobManifest":
-        """Parse a manifest; a missing, malformed or unknown line raises
-        ManifestError naming its key."""
+        """Parse a manifest; a missing, malformed or unknown line, an input
+        degree outside 0..target_k-1, a plan row whose m is not
+        n - degree - 1, or a certified plan row with a positive increment
+        and no input raises ManifestError."""
         fields: dict = {}
         inputs = []
         plan_rows = []
@@ -167,21 +162,37 @@ class JobManifest:
         if plan_rows:
             manifest.plan = ClosurePlan(manifest.target_k, manifest.n,
                                         manifest.e_max, plan_rows)
-        try:
-            manifest.task_for(0)  # the task checks the degree window
-        except ValueError as exc:
-            raise ManifestError(f"{path}: {exc}") from None
+        degrees = {d for d, _ in inputs}
+        for degree in sorted(degrees | {0}):
+            try:
+                manifest.task_for(degree)  # checks the hub degree and edge cap
+            except ValueError as exc:
+                raise ManifestError(f"{path}: {exc}") from None
+        rows = manifest.plan.rows if manifest.plan is not None else []
+        wrong = [r.degree for r in rows if r.m != manifest.n - r.degree - 1]
+        if wrong:
+            raise ManifestError(
+                f"{path}: plan rows of degree(s) {wrong} have m != n - degree - 1")
+        lacking = sorted({r.degree for r in rows if r.increment > 0} - degrees)
+        if manifest.certified and lacking:
+            raise ManifestError(
+                f"{path}: certified plan rows of degree(s) {lacking} have no input")
         return manifest
 
 
 def _run_shard(args) -> None:
     """Worker: glue every input line of one shard under the task and write
     the sorted canonical outputs to the shard's part file, which depends on
-    the arguments only."""
-    part, lines, task = args
+    the arguments only.  A host whose order is not m raises ManifestError."""
+    part, lines, task, m = args
     out = []
     for line in lines:
-        out.extend(glue_extend(decode_graph6(line), task))
+        host = decode_graph6(line)
+        if host.n != m:
+            raise ManifestError(
+                f"input {line} has order {host.n}; a degree-{task.d} hub "
+                f"needs hosts of order {m}")
+        out.extend(glue_extend(host, task))
     write_lines(part, sorted(out))
 
 
@@ -201,7 +212,7 @@ def run_manifest(
     parts_dir = out_path + ".parts"
     os.makedirs(parts_dir, exist_ok=True)
 
-    shards = []   # (part path, input lines, task), in merge order
+    shards = []   # (part path, input lines, task, host order), in merge order
     for degree, path in manifest.inputs:
         if not os.path.exists(path):
             raise ManifestError(f"missing input file {path}")
@@ -209,8 +220,9 @@ def run_manifest(
         task = manifest.task_for(degree)
         for idx in range(max(1, math.ceil(len(lines) / SHARD_SIZE))):
             chunk = lines[idx * SHARD_SIZE:(idx + 1) * SHARD_SIZE]
-            shards.append((_part_path(parts_dir, task, idx, chunk), chunk, task))
-    current = {os.path.basename(part) for part, _, _ in shards}
+            shards.append((_part_path(parts_dir, task, idx, chunk), chunk, task,
+                           manifest.n - degree - 1))
+    current = {os.path.basename(part) for part, *_ in shards}
     for name in set(os.listdir(parts_dir)) - current:
         os.remove(os.path.join(parts_dir, name))
 
@@ -228,7 +240,7 @@ def run_manifest(
 
     strict = manifest.task_for(0).canonical_rule  # one cover for every degree
     merged: list = []
-    for line in heapq.merge(*(read_lines(part) for part, _, _ in shards)):
+    for line in heapq.merge(*(read_lines(part) for part, *_ in shards)):
         if merged and merged[-1] == line:
             if strict:
                 raise StoreError(

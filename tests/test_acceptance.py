@@ -232,13 +232,13 @@ def test_criterion_8_property_suites(tmp_path):
     rules = ("prune_pair", "prune_forbidden", "prune_ascending",
              "prune_edge_bound")
     battery = [
-        (5, 3, ExtensionTask(k=3, d=2, e_max=11, d_min=1)),
+        (5, 3, ExtensionTask(k=3, d=2, e_max=11)),
         (7, 4, ExtensionTask(k=4, d=2, e_max=13)),
         (6, 4, ExtensionTask(k=4, d=3, e_max=14)),
         (8, 4, ExtensionTask(k=4, d=1, e_max=13)),
         (6, 5, ExtensionTask(k=5, d=4, e_max=11)),
-        (10, 5, ExtensionTask(k=5, d=2, e_max=17, d_min=1)),
-        (9, 5, ExtensionTask(k=5, d=3, e_max=16, d_min=2)),
+        (10, 5, ExtensionTask(k=5, d=2, e_max=17)),
+        (9, 5, ExtensionTask(k=5, d=3, e_max=16)),
         (10, 6, ExtensionTask(k=6, d=2, e_max=13)),
     ]
     for m, k_in, task in battery:

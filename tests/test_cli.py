@@ -193,14 +193,15 @@ BOX = "target_k=3\nn=5\ne_max=5\ncertified=1\n"
     (BOX + "regular=1\n", "regular"),
     (BOX + "shard_size=500\n", "shard_size"),
     ("target_k=3\nn=5\ne_max=5\ncertified=0\n", "certificate"),
-    ("target_k=4\nn=5\ne_max=5\nd_min=5\ncertified=1\n", "d_min"),
-    (BOX + "delta_max=3\n", "delta_max"),
-    (BOX + "d_min=2\ndelta_max=1\n", "d_min <= delta_max"),
+    (BOX + "d_min=0\n", "d_min"),
+    (BOX + "delta_max=\n", "delta_max"),
+    (BOX + "input=-1:f.g6\n", "hub degree -1 outside 0..2"),
+    (BOX + "input=7:f.g6\n", "hub degree 7 outside 0..2"),
     (BOX + "e_max=-1\n", "edge cap"),
 ], ids=["missing-key", "not-an-integer", "malformed-input", "malformed-plan",
         "unknown-key-done", "unknown-key-regular", "unknown-key-shard-size",
-        "uncertified", "d-min-above-window", "delta-max-above-window",
-        "d-min-above-delta-max", "negative-e-max"])
+        "uncertified", "unknown-key-d-min", "unknown-key-delta-max",
+        "input-degree-negative", "input-degree-above-k", "negative-e-max"])
 def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
     manifest = tmp_path / "m.manifest"
     manifest.write_text(text)

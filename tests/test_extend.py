@@ -33,7 +33,7 @@ PRUNE_FIELDS = ("prune_pair", "prune_forbidden", "prune_ascending",
 class TestGlueExtend:
     def test_k2_to_c5(self):
         k2 = Graph.from_edges(2, [(0, 1)])
-        res = glue_extend(k2, ExtensionTask(k=2, d=2, e_max=5, d_min=2))
+        res = glue_extend(k2, ExtensionTask(k=2, d=2, e_max=5))
         assert list(res) == [canonical_form(cycle(5))]
 
     def test_degree_zero_adds_isolated_vertex(self):
@@ -42,7 +42,7 @@ class TestGlueExtend:
         assert g.n == 6 and g.edge_count() == 5 and g.degree(5) == 0
 
     def test_c5_degree2_against_oracle(self):
-        res = glue_extend(cycle(5), ExtensionTask(k=3, d=2, e_max=11, d_min=1))
+        res = glue_extend(cycle(5), ExtensionTask(k=3, d=2, e_max=11))
         want = {}
         c5form = canonical_form(cycle(5))
         for form, g in brute_force_graphs(8, 4, 11).items():
@@ -54,12 +54,12 @@ class TestGlueExtend:
         assert set(res) == set(want)
 
     def test_every_output_is_sound(self):
-        task = ExtensionTask(k=4, d=3, e_max=14, d_min=1)
+        task = ExtensionTask(k=4, d=3, e_max=14)
         for h in brute_force_graphs(6, 4, 8).values():
             hform = canonical_form(h)
             for g in glue_extend(h, task).values():
                 params = validate_member(g, 5)
-                assert params.e <= 14 and g.min_degree() >= 1
+                assert params.e <= 14
                 witnesses = [v for v in range(g.n) if g.degree(v) == 3 and
                              canonical_form(local_subgraph(g, v)) == hform]
                 assert witnesses
@@ -74,21 +74,18 @@ class TestGlueExtend:
         with pytest.raises(CapacityError):
             glue_extend(Graph.empty(60), ExtensionTask(k=8, d=6, e_max=99))
 
-    def test_regular_outputs(self):
-        # 2-regular (3,3)-graphs on 5 vertices from K2: just C5
-        k2 = Graph.from_edges(2, [(0, 1)])
-        task = ExtensionTask(k=2, d=2, e_max=5, d_min=2, delta_max=2)
-        res = glue_extend(k2, task)
-        assert list(res) == [canonical_form(cycle(5))]
-        for g in res.values():
-            assert all(g.degree(v) == 2 for v in range(g.n))
+    @pytest.mark.parametrize("d", [-1, 3])
+    def test_hub_degree_outside_range(self, d):
+        # a (3,k+1)-graph's neighbourhoods are independent: degrees 0..k
+        with pytest.raises(ValueError, match="hub degree"):
+            ExtensionTask(k=2, d=d, e_max=5)
 
 
 class TestPruningNeutrality:
     @pytest.mark.parametrize("field", PRUNE_FIELDS)
     def test_single_rule_disabled(self, field):
         tasks = [
-            (6, ExtensionTask(k=3, d=2, e_max=11, d_min=1)),
+            (6, ExtensionTask(k=3, d=2, e_max=11)),
             (7, ExtensionTask(k=4, d=2, e_max=13)),
             (6, ExtensionTask(k=4, d=3, e_max=14)),
             (5, ExtensionTask(k=5, d=4, e_max=15)),

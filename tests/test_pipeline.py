@@ -216,7 +216,7 @@ class TestManifest:
 
         monkeypatch.setattr(pipeline, "_run_shard", counting)
         rerun = run_manifest(path, out, workers=1)
-        assert [task.d for _, _, task in calls] == [degree]
+        assert [task.d for _, _, task, _ in calls] == [degree]
         assert calls[0][1] == lines[1:]
         fresh = tmp_path / "fresh"
         fresh.mkdir()
@@ -242,10 +242,40 @@ class TestManifest:
     def test_missing_input(self, tmp_path):
         path = oracle_manifest(tmp_path)
         m = JobManifest.read(path)
-        m.inputs = [(2, str(tmp_path / "nope.g6"))]
+        m.inputs = [(degree, str(tmp_path / "nope.g6")) for degree, _ in m.inputs]
         m.write(path)
-        with pytest.raises(ManifestError):
+        with pytest.raises(ManifestError, match="nope.g6"):
             run_manifest(path, str(tmp_path / "x.g6"))
+
+    def test_certified_row_without_input(self, tmp_path):
+        # rows d = 1, 2, 3 have positive increments; without the degree-1
+        # input the run would glue 12 of the class's 15 graphs
+        path = oracle_manifest(tmp_path, 4, 6, 9)
+        m = JobManifest.read(path)
+        m.inputs = [(degree, p) for degree, p in m.inputs if degree != 1]
+        m.write(path)
+        with pytest.raises(ManifestError, match=re.escape("degree(s) [1]")):
+            run_manifest(path, str(tmp_path / "x.g6"))
+        assert not os.path.exists(tmp_path / "x.g6")
+
+    def test_plan_row_of_wrong_order(self, tmp_path):
+        path = oracle_manifest(tmp_path, 4, 6, 9)
+        text = open(path).read()
+        assert "\nplan=2,3,1,2,2\n" in text
+        with open(path, "w") as fh:
+            fh.write(text.replace("\nplan=2,3,1,2,2\n", "\nplan=2,4,1,2,2\n"))
+        with pytest.raises(ManifestError, match=re.escape("degree(s) [2]")):
+            JobManifest.read(path)
+
+    def test_input_of_wrong_order(self, tmp_path):
+        k2 = write_inputs(tmp_path, "k2.g6", [Graph.from_edges(2, [(0, 1)])])
+        path = str(tmp_path / "job.manifest")
+        JobManifest(target_k=3, n=5, e_max=5, inputs=[(1, k2)],
+                    certified=True).write(path)
+        out = str(tmp_path / "x.g6")
+        with pytest.raises(ManifestError, match="A_ has order 2"):
+            run_manifest(path, out, workers=1)
+        assert not os.path.exists(out)
 
 
 def _parts_by_degree(out: str) -> dict:
