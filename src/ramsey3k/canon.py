@@ -5,16 +5,25 @@ relabelled copy, so equal forms mean isomorphic graphs (at equal order) and
 the form doubles as a stable sort key for graph stores.
 
 The search refines an equitable partition, branches on the first smallest
-non-singleton cell, and keeps the lexicographically smallest relabelled
-adjacency vector over all leaves.  Two prunings keep symmetric inputs cheap:
-candidates that are twins of an already-explored sibling are skipped, and
-automorphisms discovered from equal-key leaves are replayed to skip orbit
-mates (only generators fixing the current individualization prefix are
-used, which keeps the pruning exact).
+non-singleton cell, and keeps the smallest relabelled adjacency over all
+leaves; a leaf key packs that adjacency into one int, row 0 in the highest
+bits, and the best key is the canonical graph itself.  Two prunings keep
+symmetric inputs cheap: candidates that are twins of an already-explored
+sibling are skipped, and automorphisms discovered from equal-key leaves are
+replayed to skip orbit mates (only generators fixing the current
+individualization prefix are used, which keeps the pruning exact).
 
 A rooted search puts one vertex in its own first cell, so its best leaf
 key labels the graph with that vertex as a colour: two roots get equal keys
 exactly when an automorphism maps one to the other.
+
+An :class:`IsoIndex` answers "is g isomorphic to a reference graph?" by one
+root-to-leaf path.  The search tree is isomorphism-invariant, so the first
+leaf of g's tree carries the key of some leaf of R's tree when g is
+isomorphic to R; a pruned subtree is the image of a kept one under an
+automorphism, so the leaves a full search explores carry every key of the
+tree; and equal keys mean isomorphic graphs.  The index therefore stores
+every explored leaf key of every reference graph and tests g's first one.
 """
 
 from __future__ import annotations
@@ -60,10 +69,14 @@ def _refine(adj, cells):
 
 
 def _leaf_key(adj, verts):
+    """The adjacency relabelled so that verts[i] becomes vertex i, packed
+    into one int with row 0 in the highest n bits: ints compare as the row
+    tuples would."""
+    n = len(verts)
     pos = [0] * len(adj)
     for i, v in enumerate(verts):
         pos[v] = i
-    key = []
+    key = 0
     for v in verts:
         m = adj[v]
         row = 0
@@ -71,8 +84,57 @@ def _leaf_key(adj, verts):
             u = (m & -m).bit_length() - 1
             m &= m - 1
             row |= 1 << pos[u]
-        key.append(row)
-    return tuple(key)
+        key = key << n | row
+    return key
+
+
+def _key_graph(n: int, key: int) -> Graph:
+    """The graph whose packed adjacency is ``key``."""
+    mask = (1 << n) - 1
+    return Graph._make(n, tuple(key >> (n * (n - 1 - i)) & mask for i in range(n)))
+
+
+def _initial_cells(adj, root=None) -> list:
+    """Vertices by increasing degree; a given root first, in its own cell."""
+    by_degree = {}
+    for v in range(len(adj)):
+        if v != root:
+            by_degree.setdefault(adj[v].bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    if root is not None:
+        cells.insert(0, [root])
+    return cells
+
+
+def _target_cell(cells) -> int:
+    """Index of the first smallest non-singleton cell, -1 at a leaf."""
+    target = -1
+    target_len = 1 << 30
+    for i, c in enumerate(cells):
+        if 1 < len(c) < target_len:
+            target = i
+            target_len = len(c)
+    return target
+
+
+def _individualize(cells, target, v) -> list:
+    """Split v off in front of the rest of its cell."""
+    return (cells[:target] + [[v], [u for u in cells[target] if u != v]]
+            + cells[target + 1:])
+
+
+def _first_leaf_key(g: Graph) -> int:
+    """Key of the first leaf of g's search tree: each step individualizes
+    the smallest vertex of the target cell, as the full search's first
+    branch does."""
+    adj = g.adj
+    cells = _initial_cells(adj)
+    while True:
+        cells = _refine(adj, cells)
+        target = _target_cell(cells)
+        if target < 0:
+            return _leaf_key(adj, [c[0] for c in cells])
+        cells = _individualize(cells, target, min(cells[target]))
 
 
 def _orbit_reaches(gens, fixed, v, tried):
@@ -107,41 +169,29 @@ def canonical_with_automorphisms(g: Graph) -> tuple:
     return _canonical_search(g)[:2]
 
 
-def rooted_key(g: Graph, v: int) -> tuple:
+def rooted_key(g: Graph, v: int) -> int:
     """Canonical key of g with v marked: rooted_key(g, v) == rooted_key(g, w)
     exactly when some automorphism of g maps v to w."""
     return _canonical_search(g, root=v)[2]
 
 
-def _canonical_search(g: Graph, root=None) -> tuple:
+def _canonical_search(g: Graph, root=None, leaves=None) -> tuple:
     """(labelling, automorphism generators, best leaf key); a given root
-    starts in its own first cell."""
+    starts in its own first cell, and a given ``leaves`` set receives the
+    key of every explored leaf."""
     n = g.n
-    if n == 0:
-        return (), [], ()
     adj = g.adj
-    by_degree = {}
-    for v in range(n):
-        if v != root:
-            by_degree.setdefault(adj[v].bit_count(), []).append(v)
-    initial = [by_degree[d] for d in sorted(by_degree)]
-    if root is not None:
-        initial.insert(0, [root])
-
     best = {"key": None, "verts": None}
     gens = []
 
     def descend(cells, fixed):
         cells = _refine(adj, cells)
-        target = -1
-        target_len = n + 1
-        for i, c in enumerate(cells):
-            if 1 < len(c) < target_len:
-                target = i
-                target_len = len(c)
+        target = _target_cell(cells)
         if target < 0:
             verts = [c[0] for c in cells]
             key = _leaf_key(adj, verts)
+            if leaves is not None:
+                leaves.add(key)
             if best["key"] is None or key < best["key"]:
                 best["key"] = key
                 best["verts"] = verts
@@ -153,9 +203,8 @@ def _canonical_search(g: Graph, root=None) -> tuple:
                 if any(sigma[v] != v for v in range(n)) and sigma not in gens:
                     gens.append(sigma)
             return
-        cell = sorted(cells[target])
         tried = set()
-        for v in cell:
+        for v in sorted(cells[target]):
             if tried:
                 vrow = adj[v]
                 twin = next(
@@ -174,15 +223,10 @@ def _canonical_search(g: Graph, root=None) -> tuple:
                 if _orbit_reaches(gens, fixed, v, tried):
                     tried.add(v)
                     continue
-            sub = (
-                cells[:target]
-                + [[v], [u for u in cells[target] if u != v]]
-                + cells[target + 1:]
-            )
-            descend(sub, fixed + (v,))
+            descend(_individualize(cells, target, v), fixed + (v,))
             tried.add(v)
 
-    descend(initial, ())
+    descend(_initial_cells(adj, root), ())
     del descend  # break the closure's self-reference so no cycle outlives the call
     perm = [0] * n
     for i, v in enumerate(best["verts"]):
@@ -191,9 +235,26 @@ def _canonical_search(g: Graph, root=None) -> tuple:
 
 
 def canonical_graph(g: Graph) -> Graph:
-    return g.permuted(canonical_labeling(g))
+    return _key_graph(g.n, _canonical_search(g)[2])
 
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 line: equal exactly for isomorphic graphs."""
     return encode_graph6(canonical_graph(g))
+
+
+class IsoIndex:
+    """Membership up to isomorphism in a fixed collection of graphs.
+
+    Built by one full search per reference graph, recording every explored
+    leaf key; ``g in index`` then follows g's first root-to-leaf path only
+    (see the module docstring for why that is exact)."""
+
+    def __init__(self, graphs):
+        self._keys = {}   # order -> leaf keys of the reference graphs
+        for g in graphs:
+            _canonical_search(g, leaves=self._keys.setdefault(g.n, set()))
+
+    def __contains__(self, g: Graph) -> bool:
+        keys = self._keys.get(g.n)
+        return keys is not None and _first_leaf_key(g) in keys

@@ -3,18 +3,24 @@
 Everything here is deliberately simple and slow: graphs are grown one
 vertex at a time with canonical deduplication at every level, and the
 verification battery re-derives properties with direct checks rather than
-through the extension engine it is meant to audit.
+through the extension engine it is meant to audit.  Its membership tests
+(a G_v or an add-edge graph against a reference store) follow one search
+path each against a :class:`~ramsey3k.canon.IsoIndex` of the reference's
+leaf keys, which is exact for the reasons given in :mod:`ramsey3k.canon`.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Optional
 
-from .canon import canonical_form
+from .canon import IsoIndex, canonical_form, canonical_with_automorphisms
 from .graphs import (
     CapacityError,
     Graph,
     _alpha,
+    decode_graph6,
+    encode_graph6,
     local_subgraph,
     validate_member,
 )
@@ -108,33 +114,74 @@ def add_edge_closure_check(
     n: Optional[int] = None,
 ) -> bool:
     """Adding up to f edges to base members must stay inside the reference
-    set (whenever the result is still a class member)."""
+    set (whenever the result is still a class member); a result isomorphic
+    to a base member counts as inside.
+
+    Levels are expanded breadth first.  Each expanded graph adds one edge
+    per orbit of its automorphism generators (g + uv is isomorphic to
+    g + s(u)s(v)), and only graphs expanded further get a full canonical
+    form; the last level is tested against an :class:`IsoIndex`."""
     seen: set = set()
-    frontier = []
+    level = []      # (graph, automorphism generators) to expand
+    outside = []    # base members missing from the reference
     for g in base:
         if n is not None and g.n != n:
             raise ValueError(f"store mismatch: graph of order {g.n}, box has {n}")
-        form = canonical_form(g)
+        form, gens = _form_and_generators(g)
         if form not in seen:
             seen.add(form)
-            frontier.append((g, 0))
-    while frontier:
-        g, depth = frontier.pop()
-        if depth == f:
-            continue
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if g.adj[u] >> v & 1 or g.adj[u] & g.adj[v]:
-                    continue  # edge present, or addition would close a triangle
+            level.append((g, gens))
+            if form not in reference_forms:
+                outside.append(g)
+    index = IsoIndex(chain(map(decode_graph6, reference_forms), outside))
+    for depth in range(f):
+        expand = depth + 1 < f
+        nxt = []
+        for g, gens in level:
+            for u, v in _addable_orbit_representatives(g, gens):
                 h = g.add_edge(u, v)
-                form = canonical_form(h)
+                if not expand:
+                    if h not in index:
+                        return False
+                    continue
+                form, hgens = _form_and_generators(h)
                 if form in seen:
                     continue
                 seen.add(form)
                 if form not in reference_forms:
                     return False
-                frontier.append((h, depth + 1))
+                nxt.append((h, hgens))
+        level = nxt
     return True
+
+
+def _form_and_generators(g: Graph) -> tuple:
+    labelling, gens = canonical_with_automorphisms(g)
+    return encode_graph6(g.permuted(labelling)), gens
+
+
+def _addable_orbit_representatives(g: Graph, gens) -> list:
+    """One pair u < v per orbit, under the group the generators span, of the
+    non-edges whose addition closes no triangle."""
+    adj = g.adj
+    covered: set = set()
+    reps = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if adj[u] >> v & 1 or adj[u] & adj[v] or (u, v) in covered:
+                continue
+            reps.append((u, v))
+            covered.add((u, v))
+            stack = [(u, v)]
+            while stack:
+                a, b = stack.pop()
+                for s in gens:
+                    x, y = s[a], s[b]
+                    image = (x, y) if x < y else (y, x)
+                    if image not in covered:
+                        covered.add(image)
+                        stack.append(image)
+    return reps
 
 
 def gv_consistency_check(
@@ -145,7 +192,9 @@ def gv_consistency_check(
     ref_e_max: Optional[int] = None,
 ) -> bool:
     """Every local subgraph of every parent landing in the reference box
-    must already be known there."""
+    must already be known there; membership is one search path each
+    against an :class:`IsoIndex` of the reference."""
+    index = IsoIndex(map(decode_graph6, reference_forms))
     for g in parents:
         for v in range(g.n):
             if g.n - 1 - g.degree(v) != ref_n:
@@ -153,6 +202,6 @@ def gv_consistency_check(
             h = local_subgraph(g, v)
             if ref_e_max is not None and h.edge_count() > ref_e_max:
                 continue
-            if canonical_form(h) not in reference_forms:
+            if h not in index:
                 return False
     return True

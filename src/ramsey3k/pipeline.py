@@ -78,8 +78,9 @@ class ManifestError(RuntimeError):
     pass
 
 
-# parsers of the single-valued manifest keys; with the repeated input= and
-# plan= lines they are every key a manifest may carry
+# parsers of the single-valued manifest keys; with plan_rows= (the plan=
+# count) and the repeated input= and plan= lines they are every key a
+# manifest may carry
 _SCALARS = {
     "target_k": int, "n": int, "e_max": int,
     "no_prune": lambda v: tuple(x for x in v.split(",") if x),
@@ -124,6 +125,7 @@ class JobManifest:
         for degree, p in self.inputs:
             lines.append(f"input={degree}:{p}")
         if self.plan is not None:
+            lines.append(f"plan_rows={len(self.plan.rows)}")
             for r in sorted(self.plan.rows, key=lambda r: r.degree):
                 lines.append(
                     f"plan={r.degree},{r.m},{r.base},{r.increment},{r.ceiling}")
@@ -133,13 +135,17 @@ class JobManifest:
     def read(cls, path: str) -> "JobManifest":
         """Parse a manifest; a missing, malformed or unknown line, an input
         degree outside 0..target_k-1, a plan row whose m is not
-        n - degree - 1, or a certified plan row with a positive increment
-        and no input raises ManifestError."""
+        n - degree - 1, a certified plan row with a positive increment
+        and no input, or a ``plan_rows=`` count that is missing from a
+        certified manifest or differs from the ``plan=`` lines raises
+        ManifestError.  The count is what tells a certified empty plan from
+        a certified manifest whose plan lines were lost."""
         fields: dict = {}
         inputs = []
         plan_rows = []
+        row_count = None
         for key, value in read_records(path):
-            if key not in _SCALARS and key not in ("input", "plan"):
+            if key not in _SCALARS and key not in ("input", "plan", "plan_rows"):
                 raise ManifestError(f"{path}: unknown key {key!r}")
             try:
                 if key == "input":
@@ -147,6 +153,8 @@ class JobManifest:
                     inputs.append((int(degree), p))
                 elif key == "plan":
                     plan_rows.append(PlanRow(*(int(x) for x in value.split(","))))
+                elif key == "plan_rows":
+                    row_count = int(value)
                 else:
                     fields[key] = _SCALARS[key](value)
             except (TypeError, ValueError):
@@ -159,7 +167,7 @@ class JobManifest:
             raise ManifestError(
                 f"unknown pruning rule(s) {unknown}; known: {PRUNE_NAMES}")
         manifest = cls(inputs=inputs, **fields)
-        if plan_rows:
+        if plan_rows or row_count is not None:
             manifest.plan = ClosurePlan(manifest.target_k, manifest.n,
                                         manifest.e_max, plan_rows)
         degrees = {d for d, _ in inputs}
@@ -177,6 +185,11 @@ class JobManifest:
         if manifest.certified and lacking:
             raise ManifestError(
                 f"{path}: certified plan rows of degree(s) {lacking} have no input")
+        if manifest.certified and row_count is None:
+            raise ManifestError(f"{path}: certified manifest without plan_rows")
+        if row_count is not None and row_count != len(plan_rows):
+            raise ManifestError(
+                f"{path}: plan_rows={row_count} but {len(plan_rows)} plan line(s)")
         return manifest
 
 

@@ -4,8 +4,17 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramsey3k.canon import canonical_form, canonical_with_automorphisms, rooted_key
-from ramsey3k.graphs import Graph, decode_graph6
+from ramsey3k.canon import (
+    IsoIndex,
+    _canonical_search,
+    _first_leaf_key,
+    canonical_form,
+    canonical_graph,
+    canonical_labeling,
+    canonical_with_automorphisms,
+    rooted_key,
+)
+from ramsey3k.graphs import Graph, decode_graph6, encode_graph6
 
 from conftest import cycle, path, petersen, random_graph, random_triangle_free
 
@@ -144,3 +153,61 @@ def test_large_triangle_free_relabelling(rng):
         assert canonical_form(g) == canonical_form(h)
         for v in rng.sample(range(n), 3):
             assert rooted_key(g, v) == rooted_key(h, perm[v])
+
+
+def test_canonical_graph_is_the_relabelled_copy(rng):
+    # the best leaf key is the relabelled adjacency, so building the graph
+    # from it gives the old permute-by-labelling composition byte for byte
+    for n in range(21):
+        for _ in range(8):
+            g = random_graph(n, rng.random(), rng)
+            relabelled = g.permuted(canonical_labeling(g))
+            assert canonical_graph(g) == relabelled
+            assert canonical_form(g) == encode_graph6(relabelled)
+
+
+def _graphs(n_max):
+    """Hypothesis strategy: a graph of order 0..n_max."""
+    return st.integers(0, n_max).flatmap(lambda n: st.sets(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+        .map(lambda p: (min(p), max(p))).filter(lambda p: p[0] != p[1]),
+        max_size=n * 2).map(lambda edges: Graph.from_edges(n, edges)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_iso_index_holds_every_relabelling(data):
+    refs = data.draw(st.lists(_graphs(9), min_size=1, max_size=4))
+    index = IsoIndex(refs)
+    g = data.draw(st.sampled_from(refs))
+    perm = list(data.draw(st.permutations(range(g.n))))
+    assert g.permuted(perm) in index
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_iso_index_agrees_with_canonical_forms(data):
+    refs = data.draw(st.lists(_graphs(7), max_size=4))
+    h = data.draw(_graphs(7))
+    assert (h in IsoIndex(refs)) == (
+        canonical_form(h) in {canonical_form(g) for g in refs})
+
+
+# a graph whose search explores leaves of two distinct keys; some
+# relabellings reach the non-canonical one first, so an index holding only
+# each reference's best key would miss them
+TWO_KEY_GRAPH = "F]v`w"
+
+
+def test_iso_index_keeps_every_explored_leaf_key():
+    g = decode_graph6(TWO_KEY_GRAPH)
+    leaves = set()
+    best = _canonical_search(g, leaves=leaves)[2]
+    assert len(leaves) >= 2
+    index = IsoIndex([g])
+    off_best = 0
+    for perm in permutations(range(g.n)):
+        h = g.permuted(list(perm))
+        assert h in index
+        off_best += _first_leaf_key(h) != best
+    assert off_best > 0

@@ -198,10 +198,19 @@ BOX = "target_k=3\nn=5\ne_max=5\ncertified=1\n"
     (BOX + "input=-1:f.g6\n", "hub degree -1 outside 0..2"),
     (BOX + "input=7:f.g6\n", "hub degree 7 outside 0..2"),
     (BOX + "e_max=-1\n", "edge cap"),
+    (BOX, "certified manifest without plan_rows"),
+    (BOX + "plan=2,2,1,0,0\n", "certified manifest without plan_rows"),
+    (BOX + "plan_rows=1\n", "plan_rows=1 but 0 plan line(s)"),
+    (BOX + "plan_rows=0\nplan=2,2,1,0,0\n", "plan_rows=0 but 1 plan line(s)"),
+    ("target_k=3\nn=5\ne_max=5\nplan_rows=2\nplan=2,2,1,0,0\n",
+     "plan_rows=2 but 1 plan line(s)"),
+    (BOX + "plan_rows=x\n", "plan_rows"),
 ], ids=["missing-key", "not-an-integer", "malformed-input", "malformed-plan",
         "unknown-key-done", "unknown-key-regular", "unknown-key-shard-size",
         "uncertified", "unknown-key-d-min", "unknown-key-delta-max",
-        "input-degree-negative", "input-degree-above-k", "negative-e-max"])
+        "input-degree-negative", "input-degree-above-k", "negative-e-max",
+        "certified-no-plan", "certified-plan-no-count", "count-above-rows",
+        "count-below-rows", "uncertified-count-mismatch", "malformed-count"])
 def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
     manifest = tmp_path / "m.manifest"
     manifest.write_text(text)

@@ -20,6 +20,8 @@ from ramsey3k.graphs import (
 )
 from ramsey3k.indepcache import TABLE_MAX_ORDER, independent_sets
 from ramsey3k.oracle import brute_force_graphs, naive_mtf_set
+from ramsey3k.pipeline import JobManifest
+from ramsey3k.store import read_lines
 
 from conftest import (cycle, min_degree_store, path, petersen,
                       random_triangle_free)
@@ -214,6 +216,10 @@ class TestMinDegreeExtend:
         store = min_degree_store(str(tmp_path), 3, 7, 9)
         assert store.complete and len(store) == 0
         assert not os.listdir(str(tmp_path / "out.g6.parts"))
+        # the empty certified plan is written as a count of zero rows
+        manifest = str(tmp_path / "job.manifest")
+        assert "plan_rows=0" in read_lines(manifest)
+        assert not JobManifest.read(manifest).plan.rows
 
 
 class TestMaximalTriangleFree:

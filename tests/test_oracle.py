@@ -1,9 +1,11 @@
+import random
 from collections import Counter
 
 import pytest
 
-from ramsey3k.canon import canonical_form
-from ramsey3k.graphs import CapacityError, Graph, circulant, validate_member
+from ramsey3k.canon import IsoIndex, canonical_form
+from ramsey3k.graphs import (CapacityError, Graph, circulant, local_subgraph,
+                             validate_member)
 from ramsey3k.oracle import (
     add_edge_closure_check,
     brute_force_graphs,
@@ -13,7 +15,7 @@ from ramsey3k.oracle import (
     verify_minimality,
 )
 
-from conftest import cycle
+from conftest import cycle, random_triangle_free
 
 
 # triangle-free graphs up to isomorphism, orders 1..9
@@ -132,20 +134,38 @@ class TestAddEdgeClosure:
         ref = brute_force_graphs(8, 4, 11)
         assert add_edge_closure_check(base.values(), 1, 4, set(ref), n=8)
 
-    def test_truncated_reference_fails(self):
-        base = brute_force_graphs(8, 4, 10)
-        ref = set(brute_force_graphs(8, 4, 11))
-        ref.discard(sorted(ref)[-1])
-        # removing some 11-edge graph must surface, unless that graph is
-        # unreachable by one addition; sweep until a failure is seen
-        full = sorted(brute_force_graphs(8, 4, 11))
-        failed = False
-        for drop in full:
-            trimmed = set(full) - {drop}
-            if not add_edge_closure_check(base.values(), 1, 4, trimmed, n=8):
-                failed = True
-                break
-        assert failed
+    def test_truncations_match_full_forms(self):
+        # every single-member truncation of the (3,4;8) class (10, 11 and
+        # 12 edges) gives the verdict of the full-form definition, at f=1
+        # and f=2, from the (8;4,<=11) members and from the 10-edge one
+        full = set(brute_force_graphs(8, 4, None))
+        verdicts = []
+        for e_base in (10, 11):
+            base = list(brute_force_graphs(8, 4, e_base).values())
+            for f in (1, 2):
+                for drop in [None] + sorted(full):
+                    ref = full - {drop}
+                    want = _closure_verdict(base, f, ref)
+                    assert add_edge_closure_check(base, f, 4, ref, n=8) == want, \
+                        (e_base, f, drop)
+                    verdicts.append(want)
+        assert True in verdicts and False in verdicts
+
+    def test_random_hosts_test_every_orbit(self, rng):
+        # hosts with small automorphism groups: every graph one or two
+        # additions reach must be tested, so dropping any one of them from
+        # the reference is seen
+        for _ in range(6):
+            base = [random_triangle_free(9, rng.uniform(0.1, 0.3), rng)]
+            for f in (1, 2):
+                reach = _reachable_forms(base, f)
+                drops = sorted(reach)
+                if f == 2:
+                    drops = rng.sample(drops, min(6, len(drops)))
+                assert add_edge_closure_check(base, f, 9, reach)
+                for drop in drops:
+                    assert not add_edge_closure_check(
+                        base, f, 9, reach - {drop}), (f, drop)
 
     def test_mismatch_error(self):
         with pytest.raises(ValueError):
@@ -166,3 +186,100 @@ class TestGvConsistency:
     def test_negative_control(self):
         ref = set()
         assert not gv_consistency_check([cycle(5)], 3, ref, ref_n=2)
+
+    def test_truncations_match_full_forms(self):
+        # G_v's of the (3,4;8) class against every single-member truncation
+        # of each (3,3;m) level, with and without an edge cap
+        parents = list(brute_force_graphs(8, 4, None).values())
+        verdicts = []
+        for m in range(4, 8):
+            full = set(brute_force_graphs(m, 3, None))
+            for e_max in (None, 3):
+                for drop in [None] + sorted(full):
+                    ref = full - {drop}
+                    want = all(
+                        canonical_form(h) in ref
+                        for g in parents for v in range(g.n)
+                        if g.n - 1 - g.degree(v) == m
+                        for h in [local_subgraph(g, v)]
+                        if e_max is None or h.edge_count() <= e_max)
+                    assert gv_consistency_check(
+                        parents, 4, ref, ref_n=m, ref_e_max=e_max) == want, \
+                        (m, e_max, drop)
+                    verdicts.append(want)
+        assert True in verdicts and False in verdicts
+
+
+def _reachable_forms(base, f) -> set:
+    """Forms of the graphs up to f triangle-free additions above base."""
+    forms, level = set(), list(base)
+    for _ in range(f):
+        level = [g.add_edge(u, v) for g in level
+                 for u in range(g.n) for v in range(u + 1, g.n)
+                 if not (g.has_edge(u, v) or g.adj[u] & g.adj[v])]
+        forms |= {canonical_form(h) for h in level}
+    return forms
+
+
+def _closure_verdict(base, f, ref) -> bool:
+    """The add-edge verdict from full canonical forms: every graph reached by
+    adding up to f edges, closing no triangle, to a base member is in ref or
+    isomorphic to a base member."""
+    seen = {canonical_form(g) for g in base}
+    level = list(base)
+    for _ in range(f):
+        nxt = []
+        for g in level:
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    if g.has_edge(u, v) or g.adj[u] & g.adj[v]:
+                        continue
+                    h = g.add_edge(u, v)
+                    form = canonical_form(h)
+                    if form in seen:
+                        continue
+                    if form not in ref:
+                        return False
+                    seen.add(form)
+                    nxt.append(h)
+        level = nxt
+    return True
+
+
+@pytest.mark.slow
+def test_gv_membership_matches_vf2(tmp_path):
+    """An independent check of the index: for G_v's of census members, and
+    for copies with one edge removed or one pair joined, membership in the
+    (3,6;12,<=14) store equals VF2 isomorphism to a store graph of the same
+    degree sequence."""
+    nx = pytest.importorskip("networkx")
+    from ramsey3k.pipeline import Bootstrap
+
+    def as_nx(g):
+        out = nx.empty_graph(g.n)
+        out.add_edges_from(g.edges())
+        return out
+
+    def degrees(g):
+        return tuple(sorted(g.degree(v) for v in range(g.n)))
+
+    bs = Bootstrap(str(tmp_path / "root"))
+    members = list(bs.store(7, 16, 23).graphs())
+    ref = list(bs.store(6, 12, 14).graphs())
+    by_degrees: dict = {}
+    for r in ref:
+        by_degrees.setdefault(degrees(r), []).append(as_nx(r))
+    index = IsoIndex(ref)
+    rng = random.Random(20130)
+    verdicts = Counter()
+    for _ in range(300):
+        g = rng.choice(members)
+        h = local_subgraph(g, rng.choice(
+            [v for v in range(g.n) if g.degree(v) == 3]))
+        for cand in (h, h.remove_edge(*rng.choice(list(h.edges()))),
+                     h.add_edge(*rng.sample(range(h.n), 2))):
+            want = any(nx.is_isomorphic(as_nx(cand), r)
+                       for r in by_degrees.get(degrees(cand), ()))
+            assert (cand in index) == want
+            verdicts[want] += 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 100, verdicts

@@ -6,7 +6,7 @@ import pytest
 
 from ramsey3k import cli, data, extend, pipeline
 from ramsey3k.canon import canonical_form
-from ramsey3k.degseq import EXACT, INFINITE, plan_closure
+from ramsey3k.degseq import EXACT, INFINITE, ClosurePlan, plan_closure
 from ramsey3k.graphs import Graph, GraphFormatError, encode_graph6
 from ramsey3k.oracle import brute_force_graphs
 from ramsey3k.pipeline import (
@@ -271,7 +271,7 @@ class TestManifest:
         k2 = write_inputs(tmp_path, "k2.g6", [Graph.from_edges(2, [(0, 1)])])
         path = str(tmp_path / "job.manifest")
         JobManifest(target_k=3, n=5, e_max=5, inputs=[(1, k2)],
-                    certified=True).write(path)
+                    plan=ClosurePlan(3, 5, 5), certified=True).write(path)
         out = str(tmp_path / "x.g6")
         with pytest.raises(ManifestError, match="A_ has order 2"):
             run_manifest(path, out, workers=1)
