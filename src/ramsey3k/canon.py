@@ -4,85 +4,94 @@ The canonical form of a graph is the graph6 encoding of a canonically
 relabelled copy, so equal forms mean isomorphic graphs (at equal order) and
 the form doubles as a stable sort key for graph stores.
 
-The search refines an equitable partition, branches on the first smallest
-non-singleton cell, and keeps the smallest relabelled adjacency over all
-leaves; a leaf key packs that adjacency into one int, row 0 in the highest
-bits, and the best key is the canonical graph itself.  Two prunings keep
-symmetric inputs cheap: candidates that are twins of an already-explored
-sibling are skipped, and automorphisms discovered from equal-key leaves are
-replayed to skip orbit mates (only generators fixing the current
-individualization prefix are used, which keeps the pruning exact).
+The search refines an equitable partition (a vertex's signature is the sum
+of its neighbours' cell weights, see :func:`_refine`), branches on the
+first smallest non-singleton cell, and keeps the smallest relabelled
+adjacency over all leaves; a leaf key packs that adjacency into one int,
+row 0 in the highest bits, and the best key is the canonical graph itself.
+Two prunings keep symmetric inputs cheap: candidates that are twins of an
+already-explored sibling are skipped, and automorphisms discovered from
+equal-key leaves are replayed to skip orbit mates (only generators fixing
+the current individualization prefix are used, which keeps the pruning
+exact).
 
 A rooted search puts one vertex in its own first cell, so its best leaf
 key labels the graph with that vertex as a colour: two roots get equal keys
 exactly when an automorphism maps one to the other.
 
-An :class:`IsoIndex` answers "is g isomorphic to a reference graph?" by one
-root-to-leaf path.  The search tree is isomorphism-invariant, so the first
-leaf of g's tree carries the key of some leaf of R's tree when g is
-isomorphic to R; a pruned subtree is the image of a kept one under an
-automorphism, so the leaves a full search explores carry every key of the
-tree; and equal keys mean isomorphic graphs.  The index therefore stores
-every explored leaf key of every reference graph and tests g's first one.
+An :class:`IsoIndex` answers "is g isomorphic to a reference graph?" from
+the references' canonical forms.  Equal leaf keys mean isomorphic graphs,
+so g's first leaf key among the references' best keys proves membership;
+on a miss g's best key decides, since it equals a reference's exactly when
+g is isomorphic to it.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, encode_graph6
+from .graphs import Graph, decode_graph6, encode_graph6
 
 _MAX_GENERATORS = 60
 
 
-def _refine(adj, cells):
-    """Equitable refinement: split cells by neighbor counts until stable."""
-    cells = [list(c) for c in cells]
+def _neighbours(adj) -> list:
+    """Each vertex's neighbours, as a list of vertex numbers."""
+    nbrs = []
+    for m in adj:
+        row = []
+        while m:
+            row.append((m & -m).bit_length() - 1)
+            m &= m - 1
+        nbrs.append(row)
+    return nbrs
+
+
+def _refine(nbrs, cells, weight):
+    """Equitable refinement: split cells by neighbour counts until stable.
+
+    A signature packs a vertex's neighbour count in each cell, 7 bits a
+    cell, the first cell highest, as the sum of its neighbours' weights: a
+    vertex of cell i of C weighs 1 << 7*(C-1-i).  Counts stay below 128 at
+    n <= 64, so no field carries.  ``weight`` is scratch, a slot a vertex."""
+    cells = list(cells)
     while True:
-        masks = []
+        shift = 7 * len(cells)
         for c in cells:
-            m = 0
+            shift -= 7
+            w = 1 << shift
             for v in c:
-                m |= 1 << v
-            masks.append(m)
-        split = False
-        for ci in range(len(cells)):
-            cell = cells[ci]
+                weight[v] = w
+        for ci, cell in enumerate(cells):
             if len(cell) == 1:
                 continue
             groups = {}
             for v in cell:
-                row = adj[v]
                 sig = 0
-                for m in masks:
-                    sig = sig << 7 | (row & m).bit_count()
+                for u in nbrs[v]:
+                    sig += weight[u]
                 bucket = groups.get(sig)
                 if bucket is None:
                     groups[sig] = [v]
                 else:
                     bucket.append(v)
             if len(groups) > 1:
-                parts = [groups[s] for s in sorted(groups)]
-                cells[ci:ci + 1] = parts
-                split = True
+                cells[ci:ci + 1] = [groups[s] for s in sorted(groups)]
                 break
-        if not split:
+        else:
             return cells
 
 
-def _leaf_key(adj, verts):
+def _leaf_key(nbrs, verts):
     """The adjacency relabelled so that verts[i] becomes vertex i, packed
     into one int with row 0 in the highest n bits: ints compare as the row
     tuples would."""
     n = len(verts)
-    pos = [0] * len(adj)
+    pos = [0] * len(nbrs)
     for i, v in enumerate(verts):
         pos[v] = i
     key = 0
     for v in verts:
-        m = adj[v]
         row = 0
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
+        for u in nbrs[v]:
             row |= 1 << pos[u]
         key = key << n | row
     return key
@@ -128,12 +137,14 @@ def _first_leaf_key(g: Graph) -> int:
     the smallest vertex of the target cell, as the full search's first
     branch does."""
     adj = g.adj
+    nbrs = _neighbours(adj)
+    weight = [0] * g.n
     cells = _initial_cells(adj)
     while True:
-        cells = _refine(adj, cells)
+        cells = _refine(nbrs, cells, weight)
         target = _target_cell(cells)
         if target < 0:
-            return _leaf_key(adj, [c[0] for c in cells])
+            return _leaf_key(nbrs, [c[0] for c in cells])
         cells = _individualize(cells, target, min(cells[target]))
 
 
@@ -175,23 +186,22 @@ def rooted_key(g: Graph, v: int) -> int:
     return _canonical_search(g, root=v)[2]
 
 
-def _canonical_search(g: Graph, root=None, leaves=None) -> tuple:
+def _canonical_search(g: Graph, root=None) -> tuple:
     """(labelling, automorphism generators, best leaf key); a given root
-    starts in its own first cell, and a given ``leaves`` set receives the
-    key of every explored leaf."""
+    starts in its own first cell."""
     n = g.n
     adj = g.adj
+    nbrs = _neighbours(adj)
+    weight = [0] * n
     best = {"key": None, "verts": None}
     gens = []
 
     def descend(cells, fixed):
-        cells = _refine(adj, cells)
+        cells = _refine(nbrs, cells, weight)
         target = _target_cell(cells)
         if target < 0:
             verts = [c[0] for c in cells]
-            key = _leaf_key(adj, verts)
-            if leaves is not None:
-                leaves.add(key)
+            key = _leaf_key(nbrs, verts)
             if best["key"] is None or key < best["key"]:
                 best["key"] = key
                 best["verts"] = verts
@@ -244,17 +254,22 @@ def canonical_form(g: Graph) -> str:
 
 
 class IsoIndex:
-    """Membership up to isomorphism in a fixed collection of graphs.
+    """Membership up to isomorphism in a fixed set of canonical forms.
 
-    Built by one full search per reference graph, recording every explored
-    leaf key; ``g in index`` then follows g's first root-to-leaf path only
-    (see the module docstring for why that is exact)."""
+    A form's packed adjacency is its best leaf key, so the index stores it
+    and searches nothing; ``g in index`` tests g's first leaf key and, on a
+    miss, its best key (see the module docstring).  A string that is not a
+    canonical form can make an isomorphic g a non-member, never the
+    reverse."""
 
-    def __init__(self, graphs):
-        self._keys = {}   # order -> leaf keys of the reference graphs
-        for g in graphs:
-            _canonical_search(g, leaves=self._keys.setdefault(g.n, set()))
+    def __init__(self, forms):
+        self._keys = {}   # order -> packed adjacencies of the forms
+        for form in forms:
+            g = decode_graph6(form)
+            keys = self._keys.setdefault(g.n, set())
+            keys.add(_leaf_key(_neighbours(g.adj), range(g.n)))
 
     def __contains__(self, g: Graph) -> bool:
         keys = self._keys.get(g.n)
-        return keys is not None and _first_leaf_key(g) in keys
+        return keys is not None and (
+            _first_leaf_key(g) in keys or _canonical_search(g)[2] in keys)

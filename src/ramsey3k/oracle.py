@@ -4,22 +4,21 @@ Everything here is deliberately simple and slow: graphs are grown one
 vertex at a time with canonical deduplication at every level, and the
 verification battery re-derives properties with direct checks rather than
 through the extension engine it is meant to audit.  Its membership tests
-(a G_v or an add-edge graph against a reference store) follow one search
-path each against a :class:`~ramsey3k.canon.IsoIndex` of the reference's
-leaf keys, which is exact for the reasons given in :mod:`ramsey3k.canon`.
+(a G_v or an add-edge graph against a reference store) go through a
+:class:`~ramsey3k.canon.IsoIndex` keyed by the reference's canonical forms,
+which labels no reference graph and follows one search path per test
+graph unless that path misses; :mod:`ramsey3k.canon` says why it is exact.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Optional
 
-from .canon import IsoIndex, canonical_form, canonical_with_automorphisms
+from .canon import IsoIndex, _canonical_search, _key_graph, canonical_form
 from .graphs import (
     CapacityError,
     Graph,
     _alpha,
-    decode_graph6,
     encode_graph6,
     local_subgraph,
     validate_member,
@@ -123,7 +122,6 @@ def add_edge_closure_check(
     form; the last level is tested against an :class:`IsoIndex`."""
     seen: set = set()
     level = []      # (graph, automorphism generators) to expand
-    outside = []    # base members missing from the reference
     for g in base:
         if n is not None and g.n != n:
             raise ValueError(f"store mismatch: graph of order {g.n}, box has {n}")
@@ -131,9 +129,7 @@ def add_edge_closure_check(
         if form not in seen:
             seen.add(form)
             level.append((g, gens))
-            if form not in reference_forms:
-                outside.append(g)
-    index = IsoIndex(chain(map(decode_graph6, reference_forms), outside))
+    index = IsoIndex(reference_forms | seen)
     for depth in range(f):
         expand = depth + 1 < f
         nxt = []
@@ -156,8 +152,9 @@ def add_edge_closure_check(
 
 
 def _form_and_generators(g: Graph) -> tuple:
-    labelling, gens = canonical_with_automorphisms(g)
-    return encode_graph6(g.permuted(labelling)), gens
+    """(canonical form, automorphism generators), from one search."""
+    _, gens, key = _canonical_search(g)
+    return encode_graph6(_key_graph(g.n, key)), gens
 
 
 def _addable_orbit_representatives(g: Graph, gens) -> list:
@@ -192,9 +189,9 @@ def gv_consistency_check(
     ref_e_max: Optional[int] = None,
 ) -> bool:
     """Every local subgraph of every parent landing in the reference box
-    must already be known there; membership is one search path each
-    against an :class:`IsoIndex` of the reference."""
-    index = IsoIndex(map(decode_graph6, reference_forms))
+    must already be known there, tested against an :class:`IsoIndex` of
+    the reference forms."""
+    index = IsoIndex(reference_forms)
     for g in parents:
         for v in range(g.n):
             if g.n - 1 - g.degree(v) != ref_n:

@@ -1,20 +1,26 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramsey3k import canon
 from ramsey3k.canon import (
     IsoIndex,
     _canonical_search,
     _first_leaf_key,
+    _initial_cells,
+    _individualize,
+    _neighbours,
+    _refine,
     canonical_form,
     canonical_graph,
     canonical_labeling,
     canonical_with_automorphisms,
     rooted_key,
 )
-from ramsey3k.graphs import Graph, decode_graph6, encode_graph6
+from ramsey3k.graphs import Graph, circulant, decode_graph6, encode_graph6
 
 from conftest import cycle, path, petersen, random_graph, random_triangle_free
 
@@ -178,7 +184,7 @@ def _graphs(n_max):
 @given(st.data())
 def test_iso_index_holds_every_relabelling(data):
     refs = data.draw(st.lists(_graphs(9), min_size=1, max_size=4))
-    index = IsoIndex(refs)
+    index = IsoIndex(canonical_form(g) for g in refs)
     g = data.draw(st.sampled_from(refs))
     perm = list(data.draw(st.permutations(range(g.n))))
     assert g.permuted(perm) in index
@@ -189,25 +195,150 @@ def test_iso_index_holds_every_relabelling(data):
 def test_iso_index_agrees_with_canonical_forms(data):
     refs = data.draw(st.lists(_graphs(7), max_size=4))
     h = data.draw(_graphs(7))
-    assert (h in IsoIndex(refs)) == (
-        canonical_form(h) in {canonical_form(g) for g in refs})
+    forms = {canonical_form(g) for g in refs}
+    assert (h in IsoIndex(forms)) == (canonical_form(h) in forms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_iso_index_of_raw_strings_claims_no_stranger(data):
+    # strings that are not canonical forms may lose members, but a graph
+    # never isomorphic to any of them is never a member
+    refs = data.draw(st.lists(_graphs(7), max_size=4))
+    h = data.draw(_graphs(7))
+    if h in IsoIndex(encode_graph6(g) for g in refs):
+        assert canonical_form(h) in {canonical_form(g) for g in refs}
 
 
 # a graph whose search explores leaves of two distinct keys; some
-# relabellings reach the non-canonical one first, so an index holding only
-# each reference's best key would miss them
+# relabellings reach the non-canonical one first, so an index that tested
+# only the first leaf's key would miss them
 TWO_KEY_GRAPH = "F]v`w"
 
 
-def test_iso_index_keeps_every_explored_leaf_key():
+def test_iso_index_falls_back_to_the_best_key():
     g = decode_graph6(TWO_KEY_GRAPH)
-    leaves = set()
-    best = _canonical_search(g, leaves=leaves)[2]
-    assert len(leaves) >= 2
-    index = IsoIndex([g])
+    best = _canonical_search(g)[2]
+    index = IsoIndex([canonical_form(g)])
     off_best = 0
     for perm in permutations(range(g.n)):
         h = g.permuted(list(perm))
         assert h in index
         off_best += _first_leaf_key(h) != best
     assert off_best > 0
+
+
+# -- the refinement kernel against its per-cell specification ---------------
+
+def _reference_refine(adj, cells):
+    """Equitable refinement as specified: a vertex's signature packs its
+    neighbour count in each cell, 7 bits a cell, the first cell highest."""
+    cells = [list(c) for c in cells]
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        for ci, cell in enumerate(cells):
+            if len(cell) == 1:
+                continue
+            groups = {}
+            for v in cell:
+                sig = 0
+                for m in masks:
+                    sig = sig << 7 | (adj[v] & m).bit_count()
+                groups.setdefault(sig, []).append(v)
+            if len(groups) > 1:
+                cells[ci:ci + 1] = [groups[s] for s in sorted(groups)]
+                break
+        else:
+            return cells
+
+
+def _kernel_graphs():
+    rng = random.Random(20140101)
+    graphs = [random_graph(n, rng.random(), rng) for n in range(41)
+              for _ in range(3)]
+    graphs += [random_triangle_free(n, rng.uniform(0.05, 0.4), rng)
+               for n in range(2, 41, 3)]
+    graphs += [circulant(n, [1, 3, 5][:1 + n % 3]) for n in range(11, 41, 4)]
+    graphs += [circulant(13, [1, 5]), circulant(17, [1, 2, 4, 8]), petersen()]
+    return graphs
+
+
+def _random_partitions(g, rng):
+    """Ordered partitions: the degree cells with random vertices
+    individualized one after another, and random cuts of a shuffled
+    vertex list."""
+    cells = _initial_cells(g.adj)
+    yield cells
+    for _ in range(4):
+        open_cells = [i for i, c in enumerate(cells) if len(c) > 1]
+        if not open_cells:
+            break
+        target = rng.choice(open_cells)
+        cells = _individualize(cells, target, rng.choice(cells[target]))
+        yield cells
+    order = rng.sample(range(g.n), g.n)
+    cuts = sorted(rng.sample(range(1, g.n), min(3, max(g.n - 1, 0))))
+    yield [order[a:b] for a, b in zip([0] + cuts, cuts + [g.n]) if a < b]
+
+
+def test_refine_matches_per_cell_counts():
+    rng = random.Random(7)
+    for g in _kernel_graphs():
+        nbrs, weight = _neighbours(g.adj), [0] * g.n
+        for cells in _random_partitions(g, rng):
+            assert _refine(nbrs, cells, weight) == \
+                _reference_refine(g.adj, cells), (encode_graph6(g), cells)
+
+
+def test_search_matches_per_cell_counts(monkeypatch):
+    graphs = _kernel_graphs()
+    def outputs():
+        return [(_canonical_search(g),
+                 [rooted_key(g, v) for v in range(0, g.n, 5)]) for g in graphs]
+
+    def spec(nbrs, cells, weight):
+        adj = [sum(1 << u for u in row) for row in nbrs]
+        return _reference_refine(adj, cells)
+
+    got = outputs()
+    monkeypatch.setattr(canon, "_refine", spec)
+    assert got == outputs()
+
+
+# -- store members and a fixed corpus ---------------------------------------
+
+@pytest.fixture(scope="module")
+def store_6_12_14(tmp_path_factory):
+    """The sorted canonical lines of the (3,6;12,<=14) store."""
+    from ramsey3k.pipeline import Bootstrap
+    return sorted(Bootstrap(str(tmp_path_factory.mktemp("root"))).store(
+        6, 12, 14).forms())
+
+
+# sha256 of the forms below, as the kernel computed them before refinement
+# by neighbour weights; a kernel change that moves any form must fail here
+GOLDEN_DIGEST = (
+    "1fdb3e800814c3db1c38741bc6a4139f956bf6d1c5518438f995e1b19cbe6854")
+
+
+def test_golden_canonical_forms(store_6_12_14):
+    rng = random.Random(20130430)
+    graphs = [random_graph(rng.randrange(25), rng.random(), rng)
+              for _ in range(2000)]
+    for form in store_6_12_14:
+        g = decode_graph6(form)
+        graphs.append(g.permuted(rng.sample(range(g.n), g.n)))
+    forms = "\n".join(canonical_form(g) for g in graphs)
+    assert hashlib.sha256(forms.encode()).hexdigest() == GOLDEN_DIGEST
+
+
+def test_store_members_relabelling_invariant(store_6_12_14):
+    rng = random.Random(612)
+    assert len(store_6_12_14) == 144
+    for form in store_6_12_14:
+        g = decode_graph6(form)
+        perm = rng.sample(range(g.n), g.n)
+        h = g.permuted(perm)
+        assert canonical_form(h) == form
+        for v in range(g.n):
+            assert rooted_key(g, v) == rooted_key(h, perm[v])

@@ -3,9 +3,9 @@ from collections import Counter
 
 import pytest
 
-from ramsey3k.canon import IsoIndex, canonical_form
-from ramsey3k.graphs import (CapacityError, Graph, circulant, local_subgraph,
-                             validate_member)
+from ramsey3k.canon import IsoIndex, canonical_form, rooted_key
+from ramsey3k.graphs import (CapacityError, Graph, circulant, decode_graph6,
+                             local_subgraph, validate_member)
 from ramsey3k.oracle import (
     add_edge_closure_check,
     brute_force_graphs,
@@ -251,7 +251,8 @@ def test_gv_membership_matches_vf2(tmp_path):
     """An independent check of the index: for G_v's of census members, and
     for copies with one edge removed or one pair joined, membership in the
     (3,6;12,<=14) store equals VF2 isomorphism to a store graph of the same
-    degree sequence."""
+    degree sequence.  Sampled census members also keep their form and
+    rooted keys under random relabelling."""
     nx = pytest.importorskip("networkx")
     from ramsey3k.pipeline import Bootstrap
 
@@ -264,13 +265,21 @@ def test_gv_membership_matches_vf2(tmp_path):
         return tuple(sorted(g.degree(v) for v in range(g.n)))
 
     bs = Bootstrap(str(tmp_path / "root"))
-    members = list(bs.store(7, 16, 23).graphs())
-    ref = list(bs.store(6, 12, 14).graphs())
+    census = sorted(bs.store(7, 16, 23).forms())
+    members = [decode_graph6(form) for form in census]
+    ref = bs.store(6, 12, 14)
     by_degrees: dict = {}
-    for r in ref:
+    for r in ref.graphs():
         by_degrees.setdefault(degrees(r), []).append(as_nx(r))
-    index = IsoIndex(ref)
+    index = IsoIndex(ref.forms())
     rng = random.Random(20130)
+    for form in rng.sample(census, 200):
+        g = decode_graph6(form)
+        perm = rng.sample(range(g.n), g.n)
+        h = g.permuted(perm)
+        assert canonical_form(h) == form
+        assert all(rooted_key(g, v) == rooted_key(h, perm[v])
+                   for v in range(g.n))
     verdicts = Counter()
     for _ in range(300):
         g = rng.choice(members)
