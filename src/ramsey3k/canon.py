@@ -28,21 +28,9 @@ g is isomorphic to it.
 
 from __future__ import annotations
 
-from .graphs import Graph, decode_graph6, encode_graph6
+from .graphs import Graph, bits, decode_graph6, encode_graph6
 
 _MAX_GENERATORS = 60
-
-
-def _neighbours(adj) -> list:
-    """Each vertex's neighbours, as a list of vertex numbers."""
-    nbrs = []
-    for m in adj:
-        row = []
-        while m:
-            row.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        nbrs.append(row)
-    return nbrs
 
 
 def _refine(nbrs, cells, weight):
@@ -137,7 +125,7 @@ def _first_leaf_key(g: Graph) -> int:
     the smallest vertex of the target cell, as the full search's first
     branch does."""
     adj = g.adj
-    nbrs = _neighbours(adj)
+    nbrs = [bits(m) for m in adj]
     weight = [0] * g.n
     cells = _initial_cells(adj)
     while True:
@@ -174,10 +162,12 @@ def canonical_labeling(g: Graph) -> tuple:
 
 
 def canonical_with_automorphisms(g: Graph) -> tuple:
-    """(labelling, automorphism generators) -- the generators are the
-    equal-key leaf permutations discovered during the search; they generate
-    a (not necessarily full) subgroup of Aut(g)."""
-    return _canonical_search(g)[:2]
+    """(canonical form, automorphism generators) from one search: the form
+    is :func:`canonical_form`'s, and the generators (s[v] is the image of
+    v) are the equal-key leaf permutations and twin swaps the search met;
+    they span a (not necessarily full) subgroup of Aut(g)."""
+    _, gens, key = _canonical_search(g)
+    return encode_graph6(_key_graph(g.n, key)), gens
 
 
 def rooted_key(g: Graph, v: int) -> int:
@@ -191,7 +181,7 @@ def _canonical_search(g: Graph, root=None) -> tuple:
     starts in its own first cell."""
     n = g.n
     adj = g.adj
-    nbrs = _neighbours(adj)
+    nbrs = [bits(m) for m in adj]
     weight = [0] * n
     best = {"key": None, "verts": None}
     gens = []
@@ -267,7 +257,7 @@ class IsoIndex:
         for form in forms:
             g = decode_graph6(form)
             keys = self._keys.setdefault(g.n, set())
-            keys.add(_leaf_key(_neighbours(g.adj), range(g.n)))
+            keys.add(_leaf_key([bits(m) for m in g.adj], range(g.n)))
 
     def __contains__(self, g: Graph) -> bool:
         keys = self._keys.get(g.n)

@@ -41,7 +41,7 @@ def _load_table(path: str | None, max_level: int = 10) -> EdgeBoundTable:
     if path:
         try:
             with open(path) as fh:
-                table.merge(EdgeBoundTable.from_csv(fh.read()), overwrite=True)
+                table.merge(EdgeBoundTable.from_csv(fh.read()))
         except ValueError as exc:
             sys.exit(_error(USAGE_ERROR, f"bad bound table {path}: {exc}"))
     return table

@@ -35,7 +35,8 @@ _BASE_ROWS = (
 def _read(name: str):
     text = resources.files(__package__).joinpath(name).read_text()
     rows = list(csv.reader(text.splitlines()))
-    assert rows[0] == ["k", "n", "kind", "value", "flag"]
+    if not rows or rows[0] != ["k", "n", "kind", "value", "flag"]:
+        raise ValueError(f"bundled table {name}: unexpected header")
     out = []
     for row in rows[1:]:
         if not row or not any(c.strip() for c in row):

@@ -111,10 +111,10 @@ class EdgeBoundTable:
     def levels(self) -> list:
         return sorted({k for k, _ in self.entries})
 
-    def merge(self, other: "EdgeBoundTable", overwrite: bool = False) -> None:
+    def merge(self, other: "EdgeBoundTable") -> None:
+        """Set every entry of ``other`` here, over any entry already set."""
         for (k, n), e in sorted(other.entries.items()):
-            if overwrite or (k, n) not in self.entries:
-                self.set(k, n, e)
+            self.set(k, n, e)
 
     def copy(self) -> "EdgeBoundTable":
         t = EdgeBoundTable()

@@ -65,6 +65,7 @@ from .graphs import (
     Graph,
     _alpha,
     bits,
+    image,
     validate_member,
     z_value,
 )
@@ -142,7 +143,7 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
         _accept(H, (), task, out, alpha_ge, e_h)
         return out
 
-    sets = independent_sets(H, 0, min(k - 1, budget))
+    sets = independent_sets(H, min(k - 1, budget))
     if not sets:
         return out
     orders = [s.bit_count() for s in sets]
@@ -158,7 +159,7 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     if task.prune_automorphic:
         set_index = {mask: i for i, mask in enumerate(sets)}
         for sigma in canonical_with_automorphisms(H)[1]:
-            set_perms.append([set_index[_image(mask, sigma)] for mask in sets])
+            set_perms.append([set_index[image(mask, sigma)] for mask in sets])
 
     def prefix_minimal(prefix: tuple) -> bool:
         """No single generator maps the prefix to a smaller index tuple."""
@@ -190,13 +191,14 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
             compat[a] = row
         return row
 
-    assigned: list = []
-
     def descend(eligible: int, prefix: tuple, union: int, degs: list,
                 forb_sets: int, size_sum: int):
-        i = len(assigned)
+        i = len(prefix)
         if i == d:
-            _accept(H, assigned, task, out, alpha_ge, e_h + d + size_sum)
+            # prefix is sorted, so with ascending order off the hub
+            # neighbours come relabelled; the leaf test and form ignore that
+            _accept(H, [sets[j] for j in prefix], task, out, alpha_ge,
+                    e_h + d + size_sum)
             return
         remaining = d - i
         scan = eligible  # the upward scan visits sets in (order, mask) order
@@ -248,10 +250,8 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
                     child &= compat_row(idx)
                 if not child:
                     continue  # no eligible sets left for the other neighbors
-            assigned.append(s)
             descend(child, new_prefix, new_union, new_degs, new_forb,
                     size_sum + sz)
-            assigned.pop()
 
     # H is a (3,k)-member, so every degree is below k: no set starts forbidden
     descend((1 << len(sets)) - 1, (), 0, [row.bit_count() for row in adj], 0, 0)
@@ -259,16 +259,6 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     # frees the sets, rows and table now instead of at the next collection
     del descend
     return out
-
-
-def _image(mask: int, sigma) -> int:
-    """The vertex set mask mapped through the permutation sigma."""
-    img = 0
-    while mask:
-        w = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        img |= 1 << sigma[w]
-    return img
 
 
 def _assemble(H: Graph, assigned) -> Graph:
@@ -280,10 +270,7 @@ def _assemble(H: Graph, assigned) -> Graph:
         u = m + j
         adj[u] = s | 1 << v
         adj[v] |= 1 << u
-        mm = s
-        while mm:
-            w = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
+        for w in bits(s):
             adj[w] |= 1 << u
     return Graph._make(m + d + 1, tuple(adj))
 

@@ -69,10 +69,7 @@ class Graph:
             if row >> v & 1:
                 raise ValueError(f"vertex {v} is self-adjacent")
         for v, row in enumerate(adj):
-            m = row
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
+            for u in bits(row):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency {v}-{u}")
         self.n = n
@@ -131,9 +128,6 @@ class Graph:
         adj[v] &= ~(1 << u)
         return Graph._make(self.n, tuple(adj))
 
-    def min_degree(self) -> int:
-        return min((row.bit_count() for row in self.adj), default=0)
-
     def max_degree(self) -> int:
         return max((row.bit_count() for row in self.adj), default=0)
 
@@ -148,13 +142,7 @@ class Graph:
         """Relabel: new vertex perm[v] takes the role of old vertex v."""
         adj = [0] * self.n
         for v, row in enumerate(self.adj):
-            new = 0
-            m = row
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                new |= 1 << perm[u]
-            adj[perm[v]] = new
+            adj[perm[v]] = image(row, perm)
         return Graph._make(self.n, tuple(adj))
 
     def induced(self, mask: int) -> "Graph":
@@ -192,6 +180,16 @@ def bits(mask: int) -> list:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+def image(mask: int, perm) -> int:
+    """The vertex set mask mapped through the permutation perm."""
+    img = 0
+    while mask:
+        w = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        img |= 1 << perm[w]
+    return img
 
 
 @dataclass(frozen=True)

@@ -15,24 +15,21 @@ TABLE_MAX_ORDER = 24  # 2^24 one-byte cells = 16 MiB
 _CHUNK = 1 << 16      # subsets per vectorised step
 
 
-def independent_sets(g: Graph, lo: int, hi: int) -> list:
-    """All independent-set bitmasks with lo <= order <= hi.
+def independent_sets(g: Graph, hi: int) -> list:
+    """All independent-set bitmasks of order at most hi, the empty set first.
 
     Discovery is lowest-vertex-first; the result is sorted by (order, mask)
     so ascending-order iteration is a simple scan.
     """
-    if hi < lo or hi < 0:
+    if hi < 0:
         return []
     adj = g.adj
     n = g.n
-    found = []
-    if lo <= 0:
-        found.append((0, 0))
-    stack = [(1 << v, v, 1, adj[v]) for v in range(n - 1, -1, -1)]
+    found = [(0, 0)]
+    stack = [(1 << v, v, 1, adj[v]) for v in range(n - 1, -1, -1) if hi]
     while stack:
         mask, last, size, blocked = stack.pop()
-        if size >= lo:
-            found.append((size, mask))
+        found.append((size, mask))
         if size == hi:
             continue
         free = ~blocked

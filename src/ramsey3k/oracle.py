@@ -1,27 +1,29 @@
 """Independent ground-truth generators and the consistency-test battery.
 
-Everything here is deliberately simple and slow: graphs are grown one
+Independent of the extension engine: the brute force grows graphs one
 vertex at a time with canonical deduplication at every level, and the
-verification battery re-derives properties with direct checks rather than
-through the extension engine it is meant to audit.  Its membership tests
-(a G_v or an add-edge graph against a reference store) go through a
-:class:`~ramsey3k.canon.IsoIndex` keyed by the reference's canonical forms,
-which labels no reference graph and follows one search path per test
-graph unless that path misses; :mod:`ramsey3k.canon` says why it is exact.
+direct checks (edge-minimality, add-edge and G_v closure) re-derive
+properties from the graphs, with no degree sequence, plan or gluing.
+Shared with the engine is :mod:`ramsey3k.canon`: canonical forms, the
+automorphism generators that pick one added edge per orbit, and the
+:class:`~ramsey3k.canon.IsoIndex` that tests a G_v or an add-edge graph
+against a reference store's forms (one search path per test graph unless
+it misses; :mod:`ramsey3k.canon` says why that is exact).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .canon import IsoIndex, _canonical_search, _key_graph, canonical_form
+from .canon import IsoIndex, canonical_form, canonical_with_automorphisms
 from .graphs import (
     CapacityError,
     Graph,
     _alpha,
-    encode_graph6,
+    bits,
     local_subgraph,
     validate_member,
+    z_value,
 )
 from .extend import is_maximal_triangle_free
 from .indepcache import independent_sets
@@ -49,7 +51,7 @@ def brute_force_graphs(n: int, k: int, e_max: Optional[int] = None) -> dict:
             m = g.n
             # the new vertex's neighborhood is independent and of order
             # at most k-1 (its degree is capped by the independence bound)
-            for s in independent_sets(g, 0, min(k - 1, m)):
+            for s in independent_sets(g, min(k - 1, m)):
                 if g.edge_count() + s.bit_count() > cap:
                     continue
                 child = _attach(g, s)
@@ -66,10 +68,7 @@ def _attach(g: Graph, neighborhood: int) -> Graph:
     adj = list(g.adj)
     v = g.n
     adj.append(neighborhood)
-    m = neighborhood
-    while m:
-        w = (m & -m).bit_length() - 1
-        m &= m - 1
+    for w in bits(neighborhood):
         adj[w] |= 1 << v
     return Graph._make(g.n + 1, tuple(adj))
 
@@ -125,7 +124,7 @@ def add_edge_closure_check(
     for g in base:
         if n is not None and g.n != n:
             raise ValueError(f"store mismatch: graph of order {g.n}, box has {n}")
-        form, gens = _form_and_generators(g)
+        form, gens = canonical_with_automorphisms(g)
         if form not in seen:
             seen.add(form)
             level.append((g, gens))
@@ -140,7 +139,7 @@ def add_edge_closure_check(
                     if h not in index:
                         return False
                     continue
-                form, hgens = _form_and_generators(h)
+                form, hgens = canonical_with_automorphisms(h)
                 if form in seen:
                     continue
                 seen.add(form)
@@ -149,12 +148,6 @@ def add_edge_closure_check(
                 nxt.append((h, hgens))
         level = nxt
     return True
-
-
-def _form_and_generators(g: Graph) -> tuple:
-    """(canonical form, automorphism generators), from one search."""
-    _, gens, key = _canonical_search(g)
-    return encode_graph6(_key_graph(g.n, key)), gens
 
 
 def _addable_orbit_representatives(g: Graph, gens) -> list:
@@ -190,15 +183,19 @@ def gv_consistency_check(
 ) -> bool:
     """Every local subgraph of every parent landing in the reference box
     must already be known there, tested against an :class:`IsoIndex` of
-    the reference forms."""
+    the reference forms.
+
+    The parents are (3,k_parent)-graphs, so triangle-free: e(G) - Z(v) is
+    the edge count of G_v (in any graph a lower bound of it), and a G_v
+    above ``ref_e_max`` is skipped before it is built."""
     index = IsoIndex(reference_forms)
     for g in parents:
+        e = g.edge_count()
         for v in range(g.n):
             if g.n - 1 - g.degree(v) != ref_n:
                 continue  # its local subgraph cannot land in the box
-            h = local_subgraph(g, v)
-            if ref_e_max is not None and h.edge_count() > ref_e_max:
+            if ref_e_max is not None and e - z_value(g, v) > ref_e_max:
                 continue
-            if h not in index:
+            if local_subgraph(g, v) not in index:
                 return False
     return True

@@ -127,7 +127,7 @@ class GraphStore:
         """Read a store, canonically relabelling every line.  ``check``
         revalidates membership and the box, for data arriving from outside
         the engines; ``k`` is the class bound to use when the sidecar names
-        none."""
+        none, and ``check`` without any bound raises :class:`StoreError`."""
         meta = (dict(read_records(path + ".meta"))
                 if os.path.exists(path + ".meta") else {})
 
@@ -142,12 +142,14 @@ class GraphStore:
         n = number("n", -1)
         e_min = number("e_min", 0)
         e_max = number("e_max")
+        if check and k < 1:
+            raise StoreError(f"{path}: no class bound k to check members against")
         forms = set()
         for line in read_lines(path):
             g = decode_graph6(line)
             if n < 0:  # no sidecar: the first member sets the order
                 n = g.n
-            if check and k >= 1:
+            if check:
                 validate_member(g, k)
                 e = g.edge_count()
                 top = n * (n - 1) // 2 if e_max is None else e_max

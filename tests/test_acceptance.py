@@ -176,6 +176,8 @@ def test_criterion_6_generation(tmp_path):
     counts = store.counts()
     want = {20: 2, 21: 15, 22: 201, 23: 2965}
     ok = counts == want
+    # the census bytes every change keeps
+    assert store.content_hash() == "3abce130cbe49d8d"
     # stretch targets (fast with the cache warm)
     st17 = bs.store(7, 17, 25)
     st18 = bs.store(7, 18, 30)

@@ -12,7 +12,6 @@ from ramsey3k.canon import (
     _first_leaf_key,
     _initial_cells,
     _individualize,
-    _neighbours,
     _refine,
     canonical_form,
     canonical_graph,
@@ -20,7 +19,8 @@ from ramsey3k.canon import (
     canonical_with_automorphisms,
     rooted_key,
 )
-from ramsey3k.graphs import Graph, circulant, decode_graph6, encode_graph6
+from ramsey3k.graphs import (Graph, bits, circulant, decode_graph6,
+                             encode_graph6)
 
 from conftest import cycle, path, petersen, random_graph, random_triangle_free
 
@@ -263,6 +263,15 @@ def _kernel_graphs():
     return graphs
 
 
+def test_form_with_generators():
+    # one search hands out canonical_form's form and automorphisms of g
+    for g in _kernel_graphs():
+        form, gens = canonical_with_automorphisms(g)
+        assert form == canonical_form(g)
+        for sigma in gens:
+            assert g.permuted(sigma) == g
+
+
 def _random_partitions(g, rng):
     """Ordered partitions: the degree cells with random vertices
     individualized one after another, and random cuts of a shuffled
@@ -284,7 +293,7 @@ def _random_partitions(g, rng):
 def test_refine_matches_per_cell_counts():
     rng = random.Random(7)
     for g in _kernel_graphs():
-        nbrs, weight = _neighbours(g.adj), [0] * g.n
+        nbrs, weight = [bits(m) for m in g.adj], [0] * g.n
         for cells in _random_partitions(g, rng):
             assert _refine(nbrs, cells, weight) == \
                 _reference_refine(g.adj, cells), (encode_graph6(g), cells)

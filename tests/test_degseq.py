@@ -351,6 +351,13 @@ class TestEdgeBoundTable:
         with pytest.raises(InfiniteBoundError):
             t.bound_value(4, 9)
 
+    def test_bad_bundled_header(self, tmp_path, monkeypatch):
+        # a typed error, which python -O keeps, unlike an assert
+        (tmp_path / "t.csv").write_text("k,n,kind,value\n3,3,exact,0\n")
+        monkeypatch.setattr(data.resources, "files", lambda package: tmp_path)
+        with pytest.raises(ValueError, match="t.csv: unexpected header"):
+            data._read("t.csv")
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(4, 9), st.integers(6, 18), st.integers(2, 30))

@@ -133,7 +133,7 @@ class TestPruningNeutrality:
                                     for j in (1, 5)])
         host = c13.induced((1 << 12) - 1)
         task = ExtensionTask(k=5, d=3, e_max=36)
-        assert len(independent_sets(host, 0, 4)) > 64
+        assert len(independent_sets(host, 4)) > 64
         want = set(glue_extend(host, task))
         assert want
         # a cap of -1 leaves the compatibility rows to branch and bound

@@ -19,7 +19,7 @@ def brute_alpha_subset(g, mask):
 class TestIndependentSets:
     def test_c5_orders(self):
         c5 = cycle(5)
-        sets = independent_sets(c5, 0, 2)
+        sets = independent_sets(c5, 2)
         assert sets[0] == 0
         singles = [s for s in sets if s.bit_count() == 1]
         pairs = [s for s in sets if s.bit_count() == 2]
@@ -27,11 +27,15 @@ class TestIndependentSets:
         # sorted by (order, mask)
         assert sets == sorted(sets, key=lambda s: (s.bit_count(), s))
 
+    def test_order_zero_is_the_empty_set(self):
+        assert independent_sets(cycle(5), 0) == [0]
+        assert independent_sets(cycle(5), -1) == []
+
     def test_exhaustive_against_filter(self, rng):
         g = random_triangle_free(8, 0.35, rng)
-        got = set(independent_sets(g, 1, 8))
+        got = set(independent_sets(g, 8))
         want = set()
-        for mask in range(1, 1 << 8):
+        for mask in range(1 << 8):
             verts = [v for v in range(8) if mask >> v & 1]
             if all(not g.has_edge(u, v) for i, u in enumerate(verts)
                    for v in verts[i + 1:]):

@@ -116,6 +116,15 @@ class TestGraphStore:
         with pytest.raises(StoreError):
             GraphStore.read(path)
 
+    def test_check_needs_a_class_bound(self, tmp_path):
+        # no sidecar names k: a check without k raises instead of skipping
+        path = str(tmp_path / "s.g6")
+        write_lines(path, [canonical_form(cycle(5))])
+        with pytest.raises(StoreError, match="s.g6: no class bound k"):
+            GraphStore.read(path, check=True)
+        assert len(GraphStore.read(path, check=True, k=3)) == 1
+        with pytest.raises(MembershipError):
+            GraphStore.read(path, check=True, k=2)
 
     def test_k1_members_checked(self, tmp_path):
         # the k=1 class holds only the vertexless graph
