@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 capacity
-error.  Worker counts come from --workers, then RAMSEY_WORKERS, then the
-machine's parallelism.
+Exit codes, for every command from the one table ``_ERRORS``: 0 success,
+1 verification failure, 2 usage error, 3 capacity error.  Worker counts come
+from --workers, then RAMSEY_WORKERS, then the machine's parallelism.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from . import data
 from .degseq import (
     EdgeBoundTable,
     MissingBoundError,
+    _fill_closed_level,
     feasible_sequences,
     plan_closure,
     propagate_bounds,
     r_upper,
 )
-from .extend import edge_removal_closure, is_maximal_triangle_free
+from .extend import edge_removal_closure
 from .graphs import (CapacityError, GraphFormatError, MembershipError,
                      decode_graph6)
 from .oracle import (
@@ -53,8 +54,6 @@ def _error(code: int, message) -> int:
 
 
 def cmd_etable(args) -> int:
-    from .degseq import _fill_closed_level
-
     table = _load_table(args.seed, max_level=min(args.k, 10))
     top = max([lv for lv in table.levels() if lv >= 1], default=1)
     if args.k > top:
@@ -77,12 +76,8 @@ def cmd_etable(args) -> int:
 
 
 def cmd_degseq(args) -> int:
-    table = _load_table(args.table)
-    try:
-        sols = feasible_sequences(args.k, args.n, args.e, table,
-                                  d_lo=args.dmin, d_hi=args.dmax)
-    except (MissingBoundError, ValueError) as exc:
-        return _error(USAGE_ERROR, exc)
+    sols = feasible_sequences(args.k, args.n, args.e, _load_table(args.table),
+                              d_lo=args.dmin, d_hi=args.dmax)
     for sol in sols:
         print(sol)
     print(f"# {len(sols)} solutions", file=sys.stderr)
@@ -90,13 +85,7 @@ def cmd_degseq(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    table = _load_table(args.table)
-    try:
-        plan = plan_closure(args.k, args.n, args.e, table)
-    except MissingBoundError as exc:
-        return _error(USAGE_ERROR, exc)
-    except RuntimeError as exc:  # no certified plan
-        return _error(VERIFY_ERROR, exc)
+    plan = plan_closure(args.k, args.n, args.e, _load_table(args.table))
     text = plan.to_csv()
     if args.out:
         with open(args.out, "w") as fh:
@@ -108,11 +97,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    try:
-        workers = worker_count(args.workers)
-    except ValueError as exc:
-        return _error(USAGE_ERROR, exc)
-    store = run_manifest(args.manifest, args.out, workers=workers,
+    store = run_manifest(args.manifest, args.out,
+                         workers=worker_count(args.workers),
                          allow_partial=args.allow_partial)
     print(f"# wrote {len(store)} graphs to {args.out}", file=sys.stderr)
     return 0
@@ -125,10 +111,6 @@ def cmd_closure(args) -> int:
     orders = sorted({g.n for g in graphs})
     if len(orders) > 1:
         return _error(USAGE_ERROR, f"{args.mtf} mixes graph orders {orders}")
-    for g in graphs:
-        if not is_maximal_triangle_free(g):
-            print("input contains a non-maximal graph", file=sys.stderr)
-            return VERIFY_ERROR
     result = edge_removal_closure(graphs, args.k, e_floor=args.e_max)
     store = GraphStore(args.k, graphs[0].n,
                        e_min=args.e_max or 0, complete=True,
@@ -139,10 +121,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        found = brute_force_graphs(args.n, args.k, args.e_max)
-    except ValueError as exc:
-        return _error(USAGE_ERROR, exc)
+    found = brute_force_graphs(args.n, args.k, args.e_max)
     store = GraphStore(args.k, args.n, 0, args.e_max, complete=True,
                        certificate="brute force", lines=found)
     store.write(args.out)
@@ -261,26 +240,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# (error types, exit code, message prefix); the first match wins, so a
+# subclass comes before its base
+_ERRORS = (
+    ((CapacityError,), CAPACITY_ERROR, "capacity error"),
+    ((FileNotFoundError,), USAGE_ERROR, "missing file"),
+    ((ManifestError,), USAGE_ERROR, "manifest error"),
+    ((GraphFormatError,), USAGE_ERROR, "bad graph6 input"),
+    ((StoreError, MembershipError), VERIFY_ERROR, "verification failed"),
+    ((MissingBoundError, ValueError), USAGE_ERROR, "ramsey3k: error"),
+    ((RuntimeError,), VERIFY_ERROR, "ramsey3k: error"),  # no certified plan
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return CAPACITY_ERROR
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ManifestError as exc:
-        print(f"manifest error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except GraphFormatError as exc:
-        print(f"bad graph6 input: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (StoreError, MembershipError) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return VERIFY_ERROR
+    except tuple(t for types, _, _ in _ERRORS for t in types) as exc:
+        code, prefix = next((code, prefix) for types, code, prefix in _ERRORS
+                            if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 from importlib import resources
 
-from ..degseq import EXACT, INFINITE, BoundEntry, EdgeBoundTable
+from ..degseq import (EXACT, INFINITE, BoundEntry, EdgeBoundTable,
+                      _fill_closed_level)
 
 _GRID = "known_exact_small.csv"
 _K9 = "known_e_k9.csv"
@@ -67,8 +68,6 @@ def small_exact_flags() -> dict:
 def builtin_table(max_level: int = 10) -> EdgeBoundTable:
     """Definitional base levels plus all bundled published values up to
     the given level, with closed-form exact entries filling the gaps."""
-    from ..degseq import _fill_closed_level
-
     t = EdgeBoundTable()
     for k, n, kind, value in _BASE_ROWS:
         if k <= max_level:

@@ -198,17 +198,6 @@ def closed_form_e(k_plus_1: int, n: int) -> BoundEntry:
     return BoundEntry(LOWER, max(0, 6 * n - 13 * k), "closed form")
 
 
-def closed_form_max_n(k_plus_1: int) -> int:
-    """Largest n whose closed form is exact (the 13k/4 boundary)."""
-    if k_plus_1 <= 2:
-        return k_plus_1
-    k = k_plus_1 - 1
-    top = (13 * k - 4) // 4
-    if k % 4 == 0:
-        top = max(top, 13 * (k // 4))
-    return top
-
-
 # ---------------------------------------------------------------------------
 # The integer system
 # ---------------------------------------------------------------------------
@@ -232,6 +221,8 @@ class DegreeSequenceSolution:
 
 def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo=None, d_hi=None):
     """Allowed degrees and their i^2 + bound(k-1, n-i-1) costs."""
+    if k < 1:
+        raise ValueError(f"class bound k must be >= 1, got {k}")
     if d_hi is None:
         d_hi = k - 1
     if d_lo is None:
@@ -578,12 +569,12 @@ def propagate_bounds(
 
 
 def _fill_closed_level(table: EdgeBoundTable, k: int) -> None:
-    top = closed_form_max_n(k)
-    for n in range(0, top + 1):
+    """Fill level k's gaps at the closed form's exact orders, a prefix 0..N."""
+    n = 0
+    while (cf := closed_form_e(k, n)).kind == EXACT:
         if not table.has(k, n):
-            cf = closed_form_e(k, n)
-            if cf.kind == EXACT:
-                table.set(k, n, cf)
+            table.set(k, n, cf)
+        n += 1
 
 
 def r_upper(k: int, table: EdgeBoundTable) -> Optional[int]:

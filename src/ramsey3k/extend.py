@@ -57,14 +57,16 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .canon import canonical_form, canonical_with_automorphisms, rooted_key
 from .graphs import (
     CapacityError,
     Graph,
+    MembershipError,
     _alpha,
     bits,
+    find_addable_edge,
     image,
     validate_member,
     z_value,
@@ -123,8 +125,9 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     validate_member(H, k)
     out: dict = {}
     e_h = H.edge_count()
+    ceilings = dict(task.cover)
     # the hub's local subgraph is H: uncovered when d has no ceiling (-1)
-    if task.canonical_rule and e_h > dict(task.cover).get(d, -1):
+    if task.canonical_rule and e_h > ceilings.get(d, -1):
         return out
     budget = task.e_max - e_h - d
     if budget < 0:
@@ -139,8 +142,37 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
             return table[mask] >= r
         return _alpha(adj, mask, r)[0] >= r
 
+    lo_t = 3 if task.prune_pair else 2
+
+    def accept(assigned, e_total: int) -> None:
+        """Leaf test: edge cap, independence bound.  Degrees need no test:
+        the descent kills every vertex pushed above k.
+
+        An independent (k+1)-set of the output misses the hub (H has none of
+        order k), so it is |T| hub neighbors plus a (k+1-|T|)-set of H
+        avoiding their sets; |T| <= 1 is ruled out by alpha(H) < k, and
+        pairs were already vetted during the descent when the pair test is
+        on.
+        """
+        if e_total > task.e_max:
+            return
+        # unions over all subsets T of the assigned sets
+        masks = [0]
+        sizes = [0]
+        for s in assigned:
+            for x in range(len(masks)):
+                masks.append(masks[x] | s)
+                sizes.append(sizes[x] + 1)
+        for mask, t in zip(masks, sizes):
+            if t >= lo_t and alpha_ge(full & ~mask, k + 1 - t):
+                return
+        g = _assemble(H, assigned)
+        if task.canonical_rule and not _hub_canonical(g, e_total, ceilings):
+            return
+        out.setdefault(canonical_form(g), g)
+
     if d == 0:
-        _accept(H, (), task, out, alpha_ge, e_h)
+        accept((), e_h)
         return out
 
     sets = independent_sets(H, min(k - 1, budget))
@@ -197,8 +229,7 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
         if i == d:
             # prefix is sorted, so with ascending order off the hub
             # neighbours come relabelled; the leaf test and form ignore that
-            _accept(H, [sets[j] for j in prefix], task, out, alpha_ge,
-                    e_h + d + size_sum)
+            accept([sets[j] for j in prefix], e_h + d + size_sum)
             return
         remaining = d - i
         scan = eligible  # the upward scan visits sets in (order, mask) order
@@ -275,36 +306,6 @@ def _assemble(H: Graph, assigned) -> Graph:
     return Graph._make(m + d + 1, tuple(adj))
 
 
-def _accept(H: Graph, assigned, task: ExtensionTask, out: dict,
-            alpha_ge: Callable[[int, int], bool], e_total: int) -> None:
-    """Leaf test: edge cap, independence bound.  Degrees need no test: the
-    descent kills every vertex pushed above k.
-
-    An independent (k+1)-set of the output misses the hub (H has none of
-    order k), so it is |T| hub neighbors plus a (k+1-|T|)-set of H avoiding
-    their sets; |T| <= 1 is ruled out by alpha(H) < k, and pairs were
-    already vetted during the descent when the pair test is on.
-    """
-    if e_total > task.e_max:
-        return
-    full = (1 << H.n) - 1
-    lo_t = 3 if task.prune_pair else 2
-    # unions over all subsets T of the assigned sets
-    masks = [0]
-    sizes = [0]
-    for s in assigned:
-        for x in range(len(masks)):
-            masks.append(masks[x] | s)
-            sizes.append(sizes[x] + 1)
-    for mask, t in zip(masks, sizes):
-        if t >= lo_t and alpha_ge(full & ~mask, task.k + 1 - t):
-            return
-    g = _assemble(H, assigned)
-    if task.canonical_rule and not _hub_canonical(g, e_total, dict(task.cover)):
-        return
-    out.setdefault(canonical_form(g), g)
-
-
 def _hub_canonical(g: Graph, e_total: int, ceilings: dict) -> bool:
     """Whether the hub (the last vertex) is the canonical vertex among itself
     and the covered vertices: smallest (deg, Z, sorted neighbour Zs), ties
@@ -353,16 +354,6 @@ def _hub_canonical(g: Graph, e_total: int, ceilings: dict) -> bool:
 # Maximal triangle-free inputs and edge removal
 # ---------------------------------------------------------------------------
 
-def is_maximal_triangle_free(g: Graph) -> bool:
-    """No edge can be added without creating a triangle."""
-    adj = g.adj
-    for v in range(g.n):
-        for u in range(v + 1, g.n):
-            if not adj[v] >> u & 1 and not adj[v] & adj[u]:
-                return False
-    return True
-
-
 def edge_removal_closure(
     mtf_graphs: Iterable[Graph],
     k: int,
@@ -379,8 +370,9 @@ def edge_removal_closure(
     frontier = []
     for g in mtf_graphs:
         validate_member(g, k)
-        if not is_maximal_triangle_free(g):
-            raise ValueError("input graph is not maximal triangle-free")
+        pair = find_addable_edge(g)
+        if pair is not None:
+            raise MembershipError(f"addable edge {pair}", "addable-edge", pair)
         if g.edge_count() < floor:
             continue
         form = canonical_form(g)

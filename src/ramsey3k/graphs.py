@@ -35,9 +35,9 @@ class CapacityError(RuntimeError):
 class MembershipError(ValueError):
     """Graph rejected from a (3,k) class; carries a witness.
 
-    ``witness_kind`` is "triangle" or "independent-set"; ``witness`` is a
-    vertex tuple (the triangle) or a bitmask of an independent set of
-    order >= k.
+    ``witness_kind`` is "triangle", "independent-set" or "addable-edge";
+    ``witness`` is a vertex tuple (the triangle), a bitmask of an independent
+    set of order >= k, or a non-edge (u, v) whose addition closes no triangle.
     """
 
     def __init__(self, message: str, witness_kind: str, witness):
@@ -327,6 +327,21 @@ def find_triangle(g: Graph) -> Optional[tuple]:
 
 def is_triangle_free(g: Graph) -> bool:
     return find_triangle(g) is None
+
+
+def find_addable_edge(g: Graph) -> Optional[tuple]:
+    """Some non-edge (u, v), u < v, that closes no triangle, or None."""
+    adj = g.adj
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not adj[u] >> v & 1 and not adj[u] & adj[v]:
+                return (u, v)
+    return None
+
+
+def is_maximal_triangle_free(g: Graph) -> bool:
+    """No edge can be added without creating a triangle."""
+    return find_addable_edge(g) is None
 
 
 def independence_number(g: Graph, stop_at: Optional[int] = None) -> int:

@@ -1,14 +1,17 @@
 """Independent ground-truth generators and the consistency-test battery.
 
-Independent of the extension engine: the brute force grows graphs one
-vertex at a time with canonical deduplication at every level, and the
-direct checks (edge-minimality, add-edge and G_v closure) re-derive
-properties from the graphs, with no degree sequence, plan or gluing.
-Shared with the engine is :mod:`ramsey3k.canon`: canonical forms, the
-automorphism generators that pick one added edge per orbit, and the
+Independent of the extension engine, and importing nothing from
+:mod:`ramsey3k.extend`: the brute force grows graphs one vertex at a time
+with canonical deduplication at every level, and the direct checks
+(edge-minimality, add-edge and G_v closure) re-derive properties from the
+graphs, with no degree sequence, plan or gluing.  Shared with the engine
+are :mod:`ramsey3k.canon` (canonical forms, the automorphism generators
+that pick one added edge per orbit, and the
 :class:`~ramsey3k.canon.IsoIndex` that tests a G_v or an add-edge graph
-against a reference store's forms (one search path per test graph unless
-it misses; :mod:`ramsey3k.canon` says why that is exact).
+against a reference store's forms: one search path per test graph unless
+it misses, and :mod:`ramsey3k.canon` says why that is exact),
+:func:`ramsey3k.indepcache.independent_sets`, ``graphs._alpha`` and
+``graphs.validate_member``.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from .graphs import (
     Graph,
     _alpha,
     bits,
+    is_maximal_triangle_free,
     local_subgraph,
     validate_member,
     z_value,
 )
-from .extend import is_maximal_triangle_free
 from .indepcache import independent_sets
 
 ORACLE_CAP = 12
@@ -41,8 +44,9 @@ def brute_force_graphs(n: int, k: int, e_max: Optional[int] = None) -> dict:
     """
     if n > ORACLE_CAP:
         raise CapacityError(f"oracle capped at order {ORACLE_CAP}, asked {n}")
-    if k < 2 or n < 0:
-        raise ValueError(f"need k >= 2 and n >= 0, got k={k}, n={n}")
+    if k < 2 or n < 0 or (e_max or 0) < 0:
+        raise ValueError(f"need k >= 2, n >= 0 and e_max >= 0, "
+                         f"got k={k}, n={n}, e_max={e_max}")
     cap = e_max if e_max is not None else n * (n - 1) // 2
     level = {canonical_form(Graph.empty(0)): Graph.empty(0)}
     for _ in range(n):
@@ -119,6 +123,8 @@ def add_edge_closure_check(
     per orbit of its automorphism generators (g + uv is isomorphic to
     g + s(u)s(v)), and only graphs expanded further get a full canonical
     form; the last level is tested against an :class:`IsoIndex`."""
+    if f < 1:
+        raise ValueError(f"add at least one edge, got f={f}")
     seen: set = set()
     level = []      # (graph, automorphism generators) to expand
     for g in base:

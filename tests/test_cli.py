@@ -14,7 +14,7 @@ from ramsey3k.graphs import Graph, encode_graph6
 from ramsey3k.oracle import naive_mtf_set
 from ramsey3k.store import GraphStore
 
-from conftest import cycle
+from conftest import cycle, path as path_graph
 
 
 def test_etable_stdout(capsys):
@@ -271,6 +271,13 @@ def _mtf_with_triangle(tmp_path):
     return path
 
 
+def _mtf_non_maximal(tmp_path):
+    path = str(tmp_path / "mtf.g6")
+    with open(path, "w") as fh:
+        fh.write(encode_graph6(path_graph(4)) + "\n")
+    return path
+
+
 TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
 
 
@@ -297,12 +304,29 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
     (_oracle_manifest,
      ["extend", "--workers", "-2", "--out", "o.g6", "--manifest"], 2),
     (_c5_store, ["verify", "--k", "0", "--minimality", "--store"], 2),
+    # _c5_store writes s.g6 in the working directory: the reference store
+    (_c5_store, ["verify", "--k", "3", "--add-edges", "abc", "s.g6",
+                 "--store"], 2),
+    (_c5_store, ["verify", "--k", "3", "--add-edges", "0", "s.g6",
+                 "--store"], 2),
+    (_c5_store, ["verify", "--k", "3", "--add-edges", "-1", "s.g6",
+                 "--store"], 2),
+    (_c5_store, ["closure", "--k", "0", "--out", "o.g6", "--mtf"], 2),
+    (_mtf_non_maximal, ["closure", "--k", "3", "--out", "o.g6", "--mtf"], 1),
+    (None, ["etable", "--k", "0", "--n-from", "0", "--n-to", "3"], 2),
+    (None, ["plan", "--k", "0", "--n", "5", "--e", "5"], 2),
+    (None, ["degseq", "--k", "0", "--n", "5", "--e", "5"], 2),
+    (None, ["oracle", "--n", "5", "--k", "3", "--e-max", "-1",
+            "--out", "o.g6"], 2),
 ], ids=["verify-bad-line", "verify-total-mismatch", "closure-triangle",
         "closure-mixed-orders",
         "count-bad-line", "count-malformed-meta", "plan-table-gap",
         "degseq-table-gap", "degseq-dmax-above-window", "oracle-k-below-2",
         "oracle-negative-n", "workers-env-not-an-integer", "workers-env-0",
-        "workers-env-negative", "workers-0", "workers-negative", "verify-k-0"])
+        "workers-env-negative", "workers-0", "workers-negative", "verify-k-0",
+        "verify-add-edges-not-an-integer", "verify-add-edges-0",
+        "verify-add-edges-negative", "closure-k-0", "closure-non-maximal",
+        "etable-k-0", "plan-k-0", "degseq-k-0", "oracle-negative-e-max"])
 def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     # leading NAME=VALUE items are environment settings, as in a shell
     env = list(itertools.takewhile(lambda item: "=" in item, argv))
@@ -316,6 +340,8 @@ def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     # errors the command reports itself
     if make in (None, _oracle_manifest, _c5_store, _mtf_mixed_orders):
         assert err.startswith("ramsey3k: error:")
+    if make is _mtf_non_maximal:
+        assert err.startswith("verification failed: addable edge")
 
 
 def test_verify_checks_members_against_k(tmp_path, capsys):

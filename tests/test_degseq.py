@@ -14,6 +14,7 @@ from ramsey3k.degseq import (
     InfiniteBoundError,
     MissingBoundError,
     PlanRow,
+    _fill_closed_level,
     _survivors,
     closed_form_e,
     closure_sufficiency_check,
@@ -68,6 +69,14 @@ class TestClosedForm:
         assert closed_form_e(1, 0).value == 0
         assert closed_form_e(3, 6).kind == LOWER  # empty class, lower only
         assert closed_form_e(4, 9).kind == LOWER
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_fill_sets_exactly_the_exact_prefix(self, k):
+        table = EdgeBoundTable()
+        _fill_closed_level(table, k)
+        filled = sorted(n for kk, n in table.entries if kk == k)
+        exact = [n for n in range(4 * k + 8) if closed_form_e(k, n).kind == EXACT]
+        assert filled == exact == list(range(len(exact)))
 
 
 def naive_sequences(k, n, e, costs, degrees):

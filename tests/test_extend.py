@@ -10,11 +10,13 @@ from ramsey3k.extend import (
     _hub_canonical,
     edge_removal_closure,
     glue_extend,
-    is_maximal_triangle_free,
 )
 from ramsey3k.graphs import (
     CapacityError,
     Graph,
+    MembershipError,
+    find_addable_edge,
+    is_maximal_triangle_free,
     local_subgraph,
     validate_member,
 )
@@ -68,7 +70,6 @@ class TestGlueExtend:
 
     def test_invalid_input_rejected(self):
         k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        from ramsey3k.graphs import MembershipError
         with pytest.raises(MembershipError):
             glue_extend(k3, ExtensionTask(k=3, d=1, e_max=9))
 
@@ -227,6 +228,8 @@ class TestMaximalTriangleFree:
         assert is_maximal_triangle_free(cycle(5))
         assert not is_maximal_triangle_free(path(4))
         assert is_maximal_triangle_free(petersen())
+        assert find_addable_edge(path(4)) == (0, 3)
+        assert find_addable_edge(cycle(5)) is None
 
     def test_closure_c5(self):
         res = edge_removal_closure([cycle(5)], 3)
@@ -250,6 +253,10 @@ class TestMaximalTriangleFree:
         assert set(closed) == want
 
     def test_non_maximal_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MembershipError) as err:
             edge_removal_closure([path(4)], 3)
+        assert err.value.witness_kind == "addable-edge"
+        u, v = err.value.witness
+        g = path(4)
+        assert not g.has_edge(u, v) and not g.adj[u] & g.adj[v]
 

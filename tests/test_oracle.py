@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import ramsey3k
 from ramsey3k.canon import IsoIndex, canonical_form, rooted_key
 from ramsey3k.graphs import (CapacityError, Graph, circulant, decode_graph6,
                              local_subgraph, validate_member)
@@ -292,3 +296,16 @@ def test_gv_membership_matches_vf2(tmp_path):
             assert (cand in index) == want
             verdicts[want] += 1
     assert verdicts[True] >= 300 and verdicts[False] >= 100, verdicts
+
+
+def test_oracle_and_verify_imports_leave_the_engine_unloaded():
+    # the oracle cross-checks the gluing engine, so it must not share its
+    # module; this also keeps the imports verify needs small
+    code = ("import sys\n"
+            "import ramsey3k.oracle, ramsey3k.store, ramsey3k.data\n"
+            "print('ramsey3k.extend' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(ramsey3k.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout == "False\n", result.stdout + result.stderr
