@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--e", type=int, required=True)
-    q.add_argument("--dmin", type=int, default=None)
+    q.add_argument("--dmin", type=int, default=0)
     q.add_argument("--dmax", type=int, default=None)
     q.add_argument("--table", default=None)
     q.set_defaults(func=cmd_degseq)

@@ -219,17 +219,17 @@ class DegreeSequenceSolution:
         return f"[{inside or 'empty'} | e={self.e}, slack={self.slack}]"
 
 
-def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo=None, d_hi=None):
+def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo=0, d_hi=None):
     """Allowed degrees and their i^2 + bound(k-1, n-i-1) costs."""
     if k < 1:
         raise ValueError(f"class bound k must be >= 1, got {k}")
-    if d_hi is None:
-        d_hi = k - 1
-    if d_lo is None:
-        d_lo = 0
+    if n < 0:
+        raise ValueError(f"negative order {n}")
+    d_hi = k - 1 if d_hi is None else d_hi
+    if d_lo < 0:
+        raise ValueError(f"negative degree floor {d_lo}")
     if d_hi > k - 1:
         raise ValueError(f"degree cap {d_hi} exceeds k-1={k - 1}")
-    degrees = []
     costs = {}
     for i in range(d_lo, d_hi + 1):
         m = n - i - 1
@@ -238,9 +238,8 @@ def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo=None, d_hi=None):
         entry = table.entry(k - 1, m)  # raises MissingBoundError on gaps
         if entry.kind == INFINITE:
             continue
-        degrees.append(i)
         costs[i] = i * i + entry.value
-    return degrees, costs
+    return list(costs), costs  # the degrees ascend
 
 
 def feasible_sequences(
@@ -248,7 +247,7 @@ def feasible_sequences(
     n: int,
     e: int,
     table: EdgeBoundTable,
-    d_lo: Optional[int] = None,
+    d_lo: int = 0,
     d_hi: Optional[int] = None,
     extra: Optional[dict] = None,
 ) -> list:
@@ -258,23 +257,23 @@ def feasible_sequences(
     certificate uses this).  Output is in lexicographic order of the count
     vector over ascending degrees.
     """
+    if e < 0:
+        raise ValueError(f"negative edge count {e}")
     degrees, costs = _degree_costs(k, n, table, d_lo, d_hi)
     if extra:
         for i in list(costs):
             costs[i] += extra.get(i, 0)
     if not degrees:
         return []
-    lo = min(degrees)
-    hi = max(degrees)
+    lo, hi = degrees[0], degrees[-1]
     budget = n * e
     target_s = 2 * e
     order = sorted(degrees, reverse=True)
-    # cheapest cost among classes from idx onward, for pruning
-    suffix_min = [0] * (len(order) + 1)
-    suffix_min[len(order)] = 0
+    # cheapest cost among classes from idx onward, for pruning; past the
+    # last class no vertex can be placed
+    suffix_min = [_INF_SENTINEL] * (len(order) + 1)
     for idx in range(len(order) - 1, -1, -1):
-        c = costs[order[idx]]
-        suffix_min[idx] = c if idx == len(order) - 1 else min(c, suffix_min[idx + 1])
+        suffix_min[idx] = min(costs[order[idx]], suffix_min[idx + 1])
     solutions = []
     counts = {}
 
@@ -375,6 +374,10 @@ class ClosurePlan:
     def increments(self) -> dict:
         return {r.degree: r.increment for r in self.rows}
 
+    def cover(self) -> tuple:
+        """(degree, ceiling) of each row with a positive increment, in order."""
+        return tuple((r.degree, r.ceiling) for r in self.rows if r.increment > 0)
+
     CSV_HEADER = ["degree", "m", "base", "increment", "ceiling"]
 
     def to_csv(self) -> str:
@@ -414,6 +417,8 @@ def closure_sufficiency_check(
     would then solve the system with the incremented bounds.  No solution
     at any edge count up to e means no graph is missed.
     """
+    if e < 0:
+        raise ValueError(f"negative edge cap {e}")
     feasible = _feasible_rows(k_plus_1, n, table)
     plan_rows = {r.degree: r for r in plan.rows}
     extra = {}

@@ -7,19 +7,21 @@ The expanded graph is triangle-free by construction (the S_i are
 independent and the u_i are pairwise non-adjacent), so the search is only
 about keeping the independence number below k+1 and the edge count within
 its cap.  Every degree of an output stays at most k, since each
-neighbourhood of a (3,k+1)-graph is independent; a vertex of H pushed above
-k kills its branch.  Seven prunings cut the recursion and the leaves:
+neighbourhood of a (3,k+1)-graph is independent; a set holding a vertex
+of H already at degree k is never scanned.  Seven prunings cut the
+recursion and the leaves:
 
   * pair test      -- S and an assigned S_j force an independent (k+1)-set
                       when the rest of H holds an independent (k-1)-set;
                       the compatibility row of S answers it for every S_j;
-  * forbidden      -- a vertex that reached degree k rejects every set
-                      containing it;
+  * forbidden      -- a vertex that reached degree k drops every set
+                      containing it from the child list;
   * ascending      -- sets are assigned in non-decreasing (order, mask)
                       position, which both removes permuted duplicates and
                       makes small sets fail early;
-  * edge bound     -- e(H) + d + sum|S_j| + |S|*(d-i) already exceeding the
-                      edge cap kills the branch;
+  * edge bound     -- a node scans only sets of order <= (budget - used) /
+                      (d - i), or <= budget - used with ascending order off,
+                      where budget = e_max - e(H) - d and used = sum|S_j|;
   * automorphic    -- an assignment prefix is skipped when one discovered
                       automorphism of H maps it to a smaller sorted index
                       tuple;
@@ -175,10 +177,14 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
         accept((), e_h)
         return out
 
-    sets = independent_sets(H, min(k - 1, budget))
-    if not sets:
-        return out
+    sets = independent_sets(H, min(k - 1, budget))  # the empty set at least
     orders = [s.bit_count() for s in sets]
+    # upto[c]: the sets of order <= c, a prefix of the sorted list; every
+    # order up to the top occurs, since independence is closed under subsets
+    top = orders[-1]
+    upto = [0] * (top + 1)
+    for idx, sz in enumerate(orders):
+        upto[sz] = (2 << idx) - 1
     # a degree-1 hub asks no independence question
     if d >= 2 and m <= TABLE_MAX_ORDER:
         table = build_independence_table(H, k)
@@ -232,19 +238,20 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
             accept([sets[j] for j in prefix], e_h + d + size_sum)
             return
         remaining = d - i
-        scan = eligible  # the upward scan visits sets in (order, mask) order
+        # forb_sets holds every set with a vertex at degree k, whatever the
+        # forbidden rule says; the scan visits sets in (order, mask) order
+        scan = eligible & ~forb_sets
+        if task.prune_edge_bound:
+            # ascending order makes every later pick at least as large as
+            # this one; a small pick raises the next cap, so child keeps all
+            cap = (budget - size_sum) // (remaining if task.prune_ascending else 1)
+            scan &= upto[min(cap, top)] if cap >= 0 else 0
         while scan:
             low = scan & -scan
             scan ^= low
             idx = low.bit_length() - 1
             s = sets[idx]
             sz = orders[idx]
-            if task.prune_edge_bound:
-                low_order = sz if task.prune_ascending else 0
-                if e_h + d + size_sum + sz + low_order * (remaining - 1) > task.e_max:
-                    if task.prune_ascending:
-                        break  # eligible is (order, mask)-sorted: no smaller set follows
-                    continue
             new_union = union | s
             if task.prune_union and i >= 1:
                 # an independent (k-i)-set outside all assigned sets joins
@@ -253,20 +260,13 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
                     continue
             new_degs = degs[:]
             mm = s
-            dead = False
             new_forb = forb_sets
             while mm:
                 w = (mm & -mm).bit_length() - 1
                 mm &= mm - 1
-                nd = new_degs[w] + 1
-                if nd > k:
-                    dead = True
-                    break
-                new_degs[w] = nd
-                if nd == k:
+                new_degs[w] += 1
+                if new_degs[w] == k:
                     new_forb |= contains[w]
-            if dead:
-                continue
             new_prefix = tuple(sorted(prefix + (idx,)))
             if not prefix_minimal(new_prefix):
                 continue

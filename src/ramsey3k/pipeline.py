@@ -24,7 +24,6 @@ import dataclasses
 import hashlib
 import heapq
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -102,15 +101,12 @@ class JobManifest:
         toggles = {f"prune_{name}": False for name in self.no_prune}
         # a certified plan's input rows cover every output, which is what
         # lets a leaf be kept only from its canonical covered vertex
-        cover = ()
-        if self.certified and self.plan is not None:
-            cover = tuple((r.degree, r.ceiling) for r in self.plan.rows
-                          if r.increment > 0)
+        certified = self.certified and self.plan is not None
         return ExtensionTask(
             k=self.target_k - 1,
             d=degree,
             e_max=self.e_max,
-            cover=cover,
+            cover=self.plan.cover() if certified else (),
             **toggles,
         )
 
@@ -181,8 +177,8 @@ class JobManifest:
         if wrong:
             raise ManifestError(
                 f"{path}: plan rows of degree(s) {wrong} have m != n - degree - 1")
-        lacking = sorted({r.degree for r in rows if r.increment > 0} - degrees)
-        if manifest.certified and lacking:
+        lacking = sorted({d for d, _ in manifest.task_for(0).cover} - degrees)
+        if lacking:
             raise ManifestError(
                 f"{path}: certified plan rows of degree(s) {lacking} have no input")
         if manifest.certified and row_count is None:
@@ -245,6 +241,7 @@ def run_manifest(
     # error) only after every shard has run, so a failed or interrupted run
     # keeps every finished part
     if nworkers > 1:
+        import multiprocessing  # here, so a serial run never loads it
         with multiprocessing.Pool(nworkers) as pool:
             pool.map(_run_shard, pending, chunksize=1)
     else:
@@ -369,16 +366,14 @@ class Bootstrap:
             self.value(k - 1, n - 1 - i)
         plan = plan_closure(k, n, e_cap, self.table)
         inputs = []
-        for row in sorted(plan.rows, key=lambda r: r.degree):
-            if row.increment <= 0:
-                continue  # input window below the class minimum: empty
-            box = (k - 1, row.m, row.ceiling)
+        for degree, ceiling in plan.cover():
+            box = (k - 1, n - degree - 1, ceiling)
             st = self.store(*box)
             if box not in self._stores:
                 # served as a restriction of a larger store, so it has no
                 # file of its own yet
                 st.write(self.store_path(*box))
-            inputs.append((row.degree, self.store_path(*box)))
+            inputs.append((degree, self.store_path(*box)))
         manifest = JobManifest(target_k=k, n=n, e_max=e_cap, inputs=inputs,
                                plan=plan, certified=True)
         manifest.write(path + ".manifest")

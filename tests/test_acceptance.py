@@ -37,7 +37,7 @@ from ramsey3k.graphs import (
     validate_member,
 )
 from ramsey3k.oracle import brute_force_graphs, min_edge_count, verify_minimality
-from ramsey3k.pipeline import Bootstrap
+from ramsey3k.pipeline import Bootstrap, JobManifest
 
 from conftest import min_degree_store, random_triangle_free
 
@@ -178,6 +178,10 @@ def test_criterion_6_generation(tmp_path):
     ok = counts == want
     # the census bytes every change keeps
     assert store.content_hash() == "3abce130cbe49d8d"
+    # the engine glues exactly the rows the plan covers, in degree order
+    manifest = JobManifest.read(bs.store_path(7, 16, 23) + ".manifest")
+    assert [d for d, _ in manifest.inputs] == [2, 3, 4, 5]
+    assert manifest.task_for(2).cover == manifest.plan.cover()
     # stretch targets (fast with the cache warm)
     st17 = bs.store(7, 17, 25)
     st18 = bs.store(7, 18, 30)

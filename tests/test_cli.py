@@ -318,6 +318,11 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
     (None, ["degseq", "--k", "0", "--n", "5", "--e", "5"], 2),
     (None, ["oracle", "--n", "5", "--k", "3", "--e-max", "-1",
             "--out", "o.g6"], 2),
+    (None, ["plan", "--k", "5", "--n", "-1", "--e", "3"], 2),
+    (None, ["plan", "--k", "5", "--n", "8", "--e", "-3"], 2),
+    (None, ["degseq", "--k", "5", "--n", "-1", "--e", "3"], 2),
+    (None, ["degseq", "--k", "5", "--n", "8", "--e", "-3"], 2),
+    (None, ["degseq", "--k", "5", "--n", "10", "--e", "20", "--dmin", "-2"], 2),
 ], ids=["verify-bad-line", "verify-total-mismatch", "closure-triangle",
         "closure-mixed-orders",
         "count-bad-line", "count-malformed-meta", "plan-table-gap",
@@ -326,7 +331,9 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
         "workers-env-negative", "workers-0", "workers-negative", "verify-k-0",
         "verify-add-edges-not-an-integer", "verify-add-edges-0",
         "verify-add-edges-negative", "closure-k-0", "closure-non-maximal",
-        "etable-k-0", "plan-k-0", "degseq-k-0", "oracle-negative-e-max"])
+        "etable-k-0", "plan-k-0", "degseq-k-0", "oracle-negative-e-max",
+        "plan-negative-n", "plan-negative-e", "degseq-negative-n",
+        "degseq-negative-e", "degseq-dmin-negative"])
 def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     # leading NAME=VALUE items are environment settings, as in a shell
     env = list(itertools.takewhile(lambda item: "=" in item, argv))

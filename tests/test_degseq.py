@@ -250,6 +250,15 @@ class TestClosure:
         plan = plan_closure(*box, builtin)
         assert {d: t for d, t in plan.increments().items() if t} == increments
 
+    def test_cover_lists_the_positive_rows(self, builtin):
+        plan = plan_closure(7, 16, 23, builtin)
+        bases = {r.degree: r.base for r in plan.rows}
+        increments = {2: 1, 3: 4, 4: 3, 5: 1}
+        assert plan.cover() == tuple((d, bases[d] + t - 1)
+                                     for d, t in increments.items())
+        assert ClosurePlan(7, 16, 23, [r for r in plan.rows
+                                       if not r.increment]).cover() == ()
+
     @pytest.mark.parametrize("box", [(7, 16, 23), (8, 25, 65), (9, 27, 61)])
     def test_survivors_filter_zero_plan(self, builtin, rng, box):
         # a plan's survivors are the zero plan's with slack - sum n_i t_i >= 0

@@ -7,6 +7,7 @@ import pytest
 from ramsey3k.canon import canonical_form, rooted_key
 from ramsey3k.extend import (
     ExtensionTask,
+    _assemble,
     _hub_canonical,
     edge_removal_closure,
     glue_extend,
@@ -144,6 +145,52 @@ class TestPruningNeutrality:
             for field in PRUNE_FIELDS:
                 off = dataclasses.replace(task, **{field: False})
                 assert set(glue_extend(host, off)) == want, (table_cap, field)
+
+
+# the cuts a node makes on its set list before or during its scan
+NODE_CUTS = ("prune_edge_bound", "prune_forbidden", "prune_pair", "prune_union")
+
+
+def assert_cuts_end_dead_branches(monkeypatch, hosts, k):
+    """Glue each host at d = 1..k and edge slack 0, 3 and 8 above
+    e(H) + d: with any node cut off, _assemble runs as often and the
+    outputs are the same, so each cut ends only branches without a leaf."""
+    calls = []
+
+    def counting(H, assigned):
+        calls.append(assigned)
+        return _assemble(H, assigned)
+
+    monkeypatch.setattr("ramsey3k.extend._assemble", counting)
+
+    def glue(h, task):
+        calls.clear()
+        out = set(glue_extend(h, task))
+        return len(calls), out
+
+    for h in hosts:
+        for d in range(1, k + 1):
+            for slack in (0, 3, 8):
+                task = ExtensionTask(k=k, d=d, e_max=h.edge_count() + d + slack)
+                want = glue(h, task)
+                for field in NODE_CUTS:
+                    off = dataclasses.replace(task, **{field: False})
+                    assert glue(h, off) == want, (h, d, slack, field)
+
+
+def test_node_cuts_end_dead_branches(monkeypatch):
+    hosts = list(brute_force_graphs(7, 4, 12).values())
+    assert_cuts_end_dead_branches(monkeypatch, hosts, 4)
+    # the densest (3,5;9)-members: few sets, so the sample stays small
+    dense = [h for h in brute_force_graphs(9, 5, 16).values()
+             if h.edge_count() == 16]
+    assert_cuts_end_dead_branches(monkeypatch, dense[:2], 5)
+
+
+@pytest.mark.slow
+def test_node_cuts_end_dead_branches_sweep(monkeypatch):
+    hosts = list(brute_force_graphs(9, 5, 16).values())
+    assert_cuts_end_dead_branches(monkeypatch, hosts[::8], 5)
 
 
 class TestCanonicalHub:

@@ -298,14 +298,25 @@ def test_gv_membership_matches_vf2(tmp_path):
     assert verdicts[True] >= 300 and verdicts[False] >= 100, verdicts
 
 
-def test_oracle_and_verify_imports_leave_the_engine_unloaded():
-    # the oracle cross-checks the gluing engine, so it must not share its
-    # module; this also keeps the imports verify needs small
+def assert_unloaded_after(imports: str, module: str) -> None:
+    """In a fresh process, importing ``imports`` leaves ``module`` unloaded."""
     code = ("import sys\n"
-            "import ramsey3k.oracle, ramsey3k.store, ramsey3k.data\n"
-            "print('ramsey3k.extend' in sys.modules)\n")
+            f"import {imports}\n"
+            f"print({module!r} in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(ramsey3k.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.stdout == "False\n", result.stdout + result.stderr
+
+
+def test_oracle_and_verify_imports_leave_the_engine_unloaded():
+    # the oracle cross-checks the gluing engine, so it must not share its
+    # module; this also keeps the imports verify needs small
+    assert_unloaded_after("ramsey3k.oracle, ramsey3k.store, ramsey3k.data",
+                          "ramsey3k.extend")
+
+
+def test_serial_runs_leave_multiprocessing_unloaded():
+    # the worker pool is its only user, and a serial run needs no pool
+    assert_unloaded_after("ramsey3k.pipeline", "multiprocessing")

@@ -32,10 +32,10 @@ def write_inputs(tmp_path, name, graphs):
 def oracle_manifest(tmp_path, k=3, n=5, e=5):
     """Certified manifest for the (k; n, <=e) box with oracle inputs."""
     plan = plan_closure(k, n, e, data.builtin_table(10))
-    inputs = [(row.degree, write_inputs(
-        tmp_path, f"d{row.degree}.g6",
-        brute_force_graphs(row.m, k - 1, row.ceiling).values()))
-        for row in plan.rows if row.increment > 0]
+    inputs = [(d, write_inputs(
+        tmp_path, f"d{d}.g6",
+        brute_force_graphs(n - d - 1, k - 1, ceiling).values()))
+        for d, ceiling in plan.cover()]
     manifest = JobManifest(target_k=k, n=n, e_max=e, inputs=inputs,
                            plan=plan, certified=True)
     path = str(tmp_path / "job.manifest")
@@ -49,6 +49,12 @@ class TestManifest:
         m = JobManifest.read(path)
         assert (m.target_k, m.n, m.e_max, m.certified) == (3, 5, 5, True)
         assert m.plan is not None and len(m.plan.rows) >= 1
+
+    def test_cover_needs_a_certificate(self, tmp_path):
+        m = JobManifest.read(oracle_manifest(tmp_path))
+        assert m.task_for(2).cover == m.plan.cover() != ()
+        m.certified = False
+        assert m.task_for(2).cover == ()
 
     def test_run_produces_c5(self, tmp_path):
         path = oracle_manifest(tmp_path)
