@@ -7,15 +7,15 @@ The expanded graph is triangle-free by construction (the S_i are
 independent and the u_i are pairwise non-adjacent), so the search is only
 about keeping the independence number below k+1 and the edge count within
 its cap.  Every degree of an output stays at most k, since each
-neighbourhood of a (3,k+1)-graph is independent; a set holding a vertex
-of H already at degree k is never scanned.  Seven prunings cut the
-recursion and the leaves:
+neighbourhood of a (3,k+1)-graph is independent.  No degree is tracked:
+a vertex w of H whose sets push it past k (c >= 2 of them, as deg_H(w)
+< k) forms an independent (k+1)-set with its H-neighbours and those c
+hub neighbours, which the pair test (c = 2) or the leaf's union test
+rejects.  Six prunings cut the recursion and the leaves:
 
   * pair test      -- S and an assigned S_j force an independent (k+1)-set
                       when the rest of H holds an independent (k-1)-set;
                       the compatibility row of S answers it for every S_j;
-  * forbidden      -- a vertex that reached degree k drops every set
-                      containing it from the child list;
   * ascending      -- sets are assigned in non-decreasing (order, mask)
                       position, which both removes permuted duplicates and
                       makes small sets fail early;
@@ -46,7 +46,7 @@ is kept from one degree row and one input only; ``run_manifest`` checks
 this when it merges the parts, and raises on a repeated output.  With an
 empty cover the rule does nothing.
 
-Disabling any of the first six must not change the output set of a single
+Disabling any of the first five must not change the output set of a single
 host; disabling the canonical rule must not change the output set of a
 certified run.  The test suite holds the engine to both.
 
@@ -71,7 +71,6 @@ from .graphs import (
     find_addable_edge,
     image,
     validate_member,
-    z_value,
 )
 from .indepcache import (
     TABLE_MAX_ORDER,
@@ -90,7 +89,6 @@ class ExtensionTask:
     e_max: int                  # edge cap for outputs
     cover: tuple = ()           # (degree, ceiling) pairs of the closure plan
     prune_pair: bool = True
-    prune_forbidden: bool = True
     prune_ascending: bool = True
     prune_edge_bound: bool = True
     prune_automorphic: bool = True      # skip prefixes a generator lowers
@@ -148,7 +146,8 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
 
     def accept(assigned, e_total: int) -> None:
         """Leaf test: edge cap, independence bound.  Degrees need no test:
-        the descent kills every vertex pushed above k.
+        a vertex pushed past k closes an independent (k+1)-set (see the
+        module docstring) that the pair test or the unions below reject.
 
         An independent (k+1)-set of the output misses the hub (H has none of
         order k), so it is |T| hub neighbors plus a (k+1-|T|)-set of H
@@ -206,10 +205,6 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
                 return False
         return True
 
-    # set lists are bitmasks over set indices; contains[w]: the sets with w
-    contains = [sum(1 << i for i, s in enumerate(sets) if s >> w & 1)
-                for w in range(m)]
-
     # compat[a]: the sets b that pass the pair test with a; built on first use
     compat: list = [None] * len(sets)
     set_array = np.array(sets, dtype=np.int64)
@@ -229,8 +224,7 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
             compat[a] = row
         return row
 
-    def descend(eligible: int, prefix: tuple, union: int, degs: list,
-                forb_sets: int, size_sum: int):
+    def descend(eligible: int, prefix: tuple, union: int, size_sum: int):
         i = len(prefix)
         if i == d:
             # prefix is sorted, so with ascending order off the hub
@@ -238,35 +232,24 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
             accept([sets[j] for j in prefix], e_h + d + size_sum)
             return
         remaining = d - i
-        # forb_sets holds every set with a vertex at degree k, whatever the
-        # forbidden rule says; the scan visits sets in (order, mask) order
-        scan = eligible & ~forb_sets
+        # the scan visits sets in (order, mask) order
+        scan = eligible
         if task.prune_edge_bound:
             # ascending order makes every later pick at least as large as
-            # this one; a small pick raises the next cap, so child keeps all
+            # this one; a small pick raises the next cap, so child keeps all.
+            # cap >= 0: every pick so far fits, and budget >= 0
             cap = (budget - size_sum) // (remaining if task.prune_ascending else 1)
-            scan &= upto[min(cap, top)] if cap >= 0 else 0
+            scan &= upto[min(cap, top)]
         while scan:
             low = scan & -scan
             scan ^= low
             idx = low.bit_length() - 1
-            s = sets[idx]
-            sz = orders[idx]
-            new_union = union | s
+            new_union = union | sets[idx]
             if task.prune_union and i >= 1:
                 # an independent (k-i)-set outside all assigned sets joins
                 # the i+1 hub neighbors into an independent (k+1)-set
                 if alpha_ge(full & ~new_union, k - i):
                     continue
-            new_degs = degs[:]
-            mm = s
-            new_forb = forb_sets
-            while mm:
-                w = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                new_degs[w] += 1
-                if new_degs[w] == k:
-                    new_forb |= contains[w]
             new_prefix = tuple(sorted(prefix + (idx,)))
             if not prefix_minimal(new_prefix):
                 continue
@@ -275,17 +258,13 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
             child = eligible >> idx << idx if task.prune_ascending else eligible
             # the last neighbor leads straight to the leaf test: no filtering
             if remaining > 1:
-                if task.prune_forbidden:
-                    child &= ~new_forb
                 if task.prune_pair:
                     child &= compat_row(idx)
                 if not child:
                     continue  # no eligible sets left for the other neighbors
-            descend(child, new_prefix, new_union, new_degs, new_forb,
-                    size_sum + sz)
+            descend(child, new_prefix, new_union, size_sum + orders[idx])
 
-    # H is a (3,k)-member, so every degree is below k: no set starts forbidden
-    descend((1 << len(sets)) - 1, (), 0, [row.bit_count() for row in adj], 0, 0)
+    descend((1 << len(sets)) - 1, (), 0, 0)
     # descend refers to itself through its closure cell; breaking that cycle
     # frees the sets, rows and table now instead of at the next collection
     del descend
@@ -316,33 +295,34 @@ def _hub_canonical(g: Graph, e_total: int, ceilings: dict) -> bool:
     """
     adj = g.adj
     hub = g.n - 1
+    deg = [row.bit_count() for row in adj]
+    # Z of every vertex in one bit loop: built from per-row neighbour lists
+    # it cost a cold census about 15 % more CPU, as most leaves fail early
+    z = []
+    for row in adj:
+        total = 0
+        while row:
+            low = row & -row
+            total += deg[low.bit_length() - 1]
+            row ^= low
+        z.append(total)
 
-    def neighbour_zs(v: int) -> list:
-        return sorted(z_value(g, u) for u in bits(adj[v]))
+    def invariant(v: int) -> tuple:
+        return (deg[v], z[v], sorted([z[u] for u in bits(adj[v])]))
 
     # the cheap (deg, Z) comparison runs first; the neighbour Zs and the
     # rooted keys only break its ties
-    hub_inv = (adj[hub].bit_count(), z_value(g, hub))
-    hub_nz = None
+    hub_inv = invariant(hub)
     rivals = []
     for w in range(hub):
-        dw = adj[w].bit_count()
-        if dw > hub_inv[0]:
+        # uncovered when deg[w] has no ceiling (-1)
+        if e_total - z[w] > ceilings.get(deg[w], -1) \
+                or (deg[w], z[w]) > hub_inv[:2]:
             continue
-        ceiling = ceilings.get(dw)
-        if ceiling is None:
-            continue
-        zw = z_value(g, w)
-        if e_total - zw > ceiling or (dw, zw) > hub_inv:
-            continue
-        if (dw, zw) < hub_inv:
+        inv = invariant(w)
+        if inv < hub_inv:
             return False
-        if hub_nz is None:
-            hub_nz = neighbour_zs(hub)
-        nz = neighbour_zs(w)
-        if nz < hub_nz:
-            return False
-        if nz == hub_nz:
+        if inv == hub_inv:
             rivals.append(w)
     if not rivals:
         return True

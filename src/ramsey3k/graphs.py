@@ -329,14 +329,18 @@ def is_triangle_free(g: Graph) -> bool:
     return find_triangle(g) is None
 
 
-def find_addable_edge(g: Graph) -> Optional[tuple]:
-    """Some non-edge (u, v), u < v, that closes no triangle, or None."""
+def addable_edges(g: Graph) -> Iterator[tuple]:
+    """The non-edges (u, v), u < v, that close no triangle, in order."""
     adj = g.adj
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if not adj[u] >> v & 1 and not adj[u] & adj[v]:
-                return (u, v)
-    return None
+                yield (u, v)
+
+
+def find_addable_edge(g: Graph) -> Optional[tuple]:
+    """The first non-edge (u, v), u < v, that closes no triangle, or None."""
+    return next(addable_edges(g), None)
 
 
 def is_maximal_triangle_free(g: Graph) -> bool:

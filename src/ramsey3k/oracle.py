@@ -23,6 +23,7 @@ from .graphs import (
     CapacityError,
     Graph,
     _alpha,
+    addable_edges,
     bits,
     is_maximal_triangle_free,
     local_subgraph,
@@ -159,24 +160,22 @@ def add_edge_closure_check(
 def _addable_orbit_representatives(g: Graph, gens) -> list:
     """One pair u < v per orbit, under the group the generators span, of the
     non-edges whose addition closes no triangle."""
-    adj = g.adj
     covered: set = set()
     reps = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if adj[u] >> v & 1 or adj[u] & adj[v] or (u, v) in covered:
-                continue
-            reps.append((u, v))
-            covered.add((u, v))
-            stack = [(u, v)]
-            while stack:
-                a, b = stack.pop()
-                for s in gens:
-                    x, y = s[a], s[b]
-                    image = (x, y) if x < y else (y, x)
-                    if image not in covered:
-                        covered.add(image)
-                        stack.append(image)
+    for pair in addable_edges(g):
+        if pair in covered:
+            continue
+        reps.append(pair)
+        covered.add(pair)
+        stack = [pair]
+        while stack:
+            a, b = stack.pop()
+            for s in gens:
+                x, y = s[a], s[b]
+                image = (x, y) if x < y else (y, x)
+                if image not in covered:
+                    covered.add(image)
+                    stack.append(image)
     return reps
 
 

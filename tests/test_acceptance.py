@@ -234,9 +234,8 @@ def test_criterion_8_property_suites(tmp_path):
             failures.append(f"canon case {i}")
             break
 
-    # -- pruning neutrality for the four recursion rules, hosts up to 10
-    rules = ("prune_pair", "prune_forbidden", "prune_ascending",
-             "prune_edge_bound")
+    # -- pruning neutrality for the three recursion rules, hosts up to 10
+    rules = ("prune_pair", "prune_ascending", "prune_edge_bound")
     battery = [
         (5, 3, ExtensionTask(k=3, d=2, e_max=11)),
         (7, 4, ExtensionTask(k=4, d=2, e_max=13)),

@@ -20,6 +20,7 @@ from ramsey3k.graphs import (
     is_maximal_triangle_free,
     local_subgraph,
     validate_member,
+    z_value,
 )
 from ramsey3k.indepcache import TABLE_MAX_ORDER, independent_sets
 from ramsey3k.oracle import brute_force_graphs, naive_mtf_set
@@ -31,8 +32,8 @@ from conftest import (cycle, min_degree_store, path, petersen,
 
 # prune_canonical is left out: it is neutral per store, not per host, and is
 # checked at store level in test_pipeline.py and test_cli.py
-PRUNE_FIELDS = ("prune_pair", "prune_forbidden", "prune_ascending",
-                "prune_edge_bound", "prune_automorphic", "prune_union")
+PRUNE_FIELDS = ("prune_pair", "prune_ascending", "prune_edge_bound",
+                "prune_automorphic", "prune_union")
 
 
 class TestGlueExtend:
@@ -148,7 +149,7 @@ class TestPruningNeutrality:
 
 
 # the cuts a node makes on its set list before or during its scan
-NODE_CUTS = ("prune_edge_bound", "prune_forbidden", "prune_pair", "prune_union")
+NODE_CUTS = ("prune_edge_bound", "prune_pair", "prune_union")
 
 
 def assert_cuts_end_dead_branches(monkeypatch, hosts, k):
@@ -204,14 +205,18 @@ class TestCanonicalHub:
                 accepted.append(v)
         return accepted
 
-    def test_exactly_one_orbit_accepted(self, rng):
+    @staticmethod
+    def sample(rng):
         # the (3,5;10,<=14) members include vertices that tie on the
         # invariant without sharing an orbit, so the rooted key decides
         graphs = [petersen(), path(7), cycle(8)]
         graphs += brute_force_graphs(10, 5, 14).values()
         graphs += [random_triangle_free(rng.randrange(6, 13), 0.4, rng)
                    for _ in range(40)]
-        for g in graphs:
+        return graphs
+
+    def test_exactly_one_orbit_accepted(self, rng):
+        for g in self.sample(rng):
             # every vertex covered: the ceiling e(G) bounds any e(G) - Z(v)
             ceilings = {g.degree(v): g.edge_count() for v in range(g.n)}
             accepted = self.accepted_hubs(g, ceilings)
@@ -219,6 +224,33 @@ class TestCanonicalHub:
             assert len(keys) == 1, g
             orbit = [v for v in range(g.n) if rooted_key(g, v) in keys]
             assert accepted == orbit, g
+
+    def test_accepts_the_smallest_invariant_and_key(self, rng):
+        """The accepted orbit is pinned, not just unique: among the covered
+        vertices, the smallest (deg, Z, sorted neighbour Zs), then the
+        smallest rooted key, computed here the slow way."""
+        for g in self.sample(rng):
+            e = g.edge_count()
+            full = {g.degree(v): e for v in range(g.n)}
+            # per degree, the first vertex's local edge count: vertices of
+            # that degree with a smaller Z, and the top degree, are uncovered
+            partial = {}
+            for v in range(g.n):
+                partial.setdefault(g.degree(v), e - z_value(g, v))
+            partial.pop(max(partial))
+            for ceilings in (full, partial):
+                covered = [v for v in range(g.n) if g.degree(v) in ceilings
+                           and e - z_value(g, v) <= ceilings[g.degree(v)]]
+                if not covered:
+                    continue
+                rank = {v: (g.degree(v), z_value(g, v),
+                            sorted(z_value(g, u) for u in range(g.n)
+                                   if g.has_edge(u, v)),
+                            rooted_key(g, v)) for v in covered}
+                best = min(rank.values())
+                want = [v for v in covered if rank[v] == best]
+                accepted = self.accepted_hubs(g, ceilings)
+                assert [v for v in accepted if v in rank] == want, g
 
     def test_uncovered_vertices_do_not_compete(self):
         # the path's ends have the smallest invariant, but with only degree 2

@@ -238,11 +238,12 @@ class TestManifest:
             run_manifest(path, str(tmp_path / "x.g6"))
         run_manifest(path, str(tmp_path / "x.g6"), allow_partial=True)
 
-    def test_unknown_prune_name_rejected(self, tmp_path):
+    @pytest.mark.parametrize("name", ["edgebound", "forbidden"])
+    def test_unknown_prune_name_rejected(self, tmp_path, name):
         path = oracle_manifest(tmp_path)
         with open(path, "a") as fh:
-            fh.write("no_prune=automorphic,edgebound\n")
-        with pytest.raises(ManifestError, match="edgebound"):
+            fh.write(f"no_prune=automorphic,{name}\n")
+        with pytest.raises(ManifestError, match=name):
             JobManifest.read(path)
 
     def test_missing_input(self, tmp_path):
