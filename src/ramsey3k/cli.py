@@ -29,7 +29,7 @@ from .oracle import (
     gv_consistency_check,
     verify_minimality,
 )
-from .pipeline import ManifestError, run_manifest, worker_count
+from .pipeline import ManifestError, run_manifest
 from .store import GraphStore, StoreError, read_lines, render_count_table
 
 USAGE_ERROR = 2
@@ -44,13 +44,8 @@ def _load_table(path: str | None, max_level: int = 10) -> EdgeBoundTable:
             with open(path) as fh:
                 table.merge(EdgeBoundTable.from_csv(fh.read()))
         except ValueError as exc:
-            sys.exit(_error(USAGE_ERROR, f"bad bound table {path}: {exc}"))
+            raise ValueError(f"bad bound table {path}: {exc}") from None
     return table
-
-
-def _error(code: int, message) -> int:
-    print(f"ramsey3k: error: {message}", file=sys.stderr)
-    return code
 
 
 def cmd_etable(args) -> int:
@@ -97,8 +92,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    store = run_manifest(args.manifest, args.out,
-                         workers=worker_count(args.workers),
+    store = run_manifest(args.manifest, args.out, workers=args.workers,
                          allow_partial=args.allow_partial)
     print(f"# wrote {len(store)} graphs to {args.out}", file=sys.stderr)
     return 0
@@ -107,10 +101,10 @@ def cmd_extend(args) -> int:
 def cmd_closure(args) -> int:
     graphs = _read_graphs(args.mtf)
     if not graphs:
-        return _error(USAGE_ERROR, f"{args.mtf} holds no graphs")
+        raise ValueError(f"{args.mtf} holds no graphs")
     orders = sorted({g.n for g in graphs})
     if len(orders) > 1:
-        return _error(USAGE_ERROR, f"{args.mtf} mixes graph orders {orders}")
+        raise ValueError(f"{args.mtf} mixes graph orders {orders}")
     result = edge_removal_closure(graphs, args.k, e_floor=args.e_max)
     store = GraphStore(args.k, graphs[0].n,
                        e_min=args.e_max or 0, complete=True,
@@ -131,11 +125,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.k < 1:
-        return _error(USAGE_ERROR, f"class bound --k must be >= 1, got {args.k}")
+        raise ValueError(f"class bound --k must be >= 1, got {args.k}")
     store = GraphStore.read(args.store, check=True, k=args.k)
     if store.k != args.k:
-        return _error(VERIFY_ERROR,
-                      f"{args.store} holds k={store.k} members, not --k {args.k}")
+        raise StoreError(f"{args.store} holds k={store.k} members, not --k {args.k}")
     failures = []
     if args.minimality:
         for g in store.graphs():
@@ -151,7 +144,7 @@ def cmd_verify(args) -> int:
         f, ref_path = args.add_edges
         ref = GraphStore.read(ref_path)
         if not add_edge_closure_check(store.graphs(), int(f), args.k,
-                                      ref.forms(), n=store.n):
+                                      ref.forms(), n=ref.n):
             failures.append("add-edge closure")
     if failures:
         print("FAILED: " + ", ".join(failures), file=sys.stderr)

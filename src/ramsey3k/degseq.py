@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 EXACT = "exact"
@@ -364,12 +364,26 @@ class PlanRow:
             raise ValueError("ceiling must equal base + increment - 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosurePlan:
+    """The input rows of one (3,k_plus_1;n,<=e) box, in degree order; a
+    repeated degree or an m other than n - degree - 1 raises ValueError."""
+
     k_plus_1: int
     n: int
     e: int
-    rows: list = field(default_factory=list)
+    rows: tuple = ()
+
+    def __post_init__(self):
+        rows = tuple(sorted(self.rows, key=lambda r: r.degree))
+        object.__setattr__(self, "rows", rows)
+        repeated = sorted({a.degree for a, b in zip(rows, rows[1:])
+                           if a.degree == b.degree})
+        if repeated:
+            raise ValueError(f"plan repeats row(s) of degree(s) {repeated}")
+        bad = [r.degree for r in rows if r.m != self.n - r.degree - 1]
+        if bad:
+            raise ValueError(f"plan rows of degree(s) {bad} have m != n - degree - 1")
 
     def increments(self) -> dict:
         return {r.degree: r.increment for r in self.rows}
@@ -384,7 +398,7 @@ class ClosurePlan:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(self.CSV_HEADER)
-        for r in sorted(self.rows, key=lambda r: r.degree):
+        for r in self.rows:
             w.writerow([r.degree, r.m, r.base, r.increment, r.ceiling])
         return buf.getvalue()
 
@@ -419,15 +433,14 @@ def closure_sufficiency_check(
     """
     if e < 0:
         raise ValueError(f"negative edge cap {e}")
-    feasible = _feasible_rows(k_plus_1, n, table)
+    if plan.n != n:
+        raise ValueError(f"plan is for order {plan.n}, not {n}")
     plan_rows = {r.degree: r for r in plan.rows}
     extra = {}
-    for i, m, base in feasible:
+    for i, _, base in _feasible_rows(k_plus_1, n, table):
         row = plan_rows.get(i)
         if row is None:
             raise ValueError(f"plan has no row for feasible degree {i}")
-        if row.m != m:
-            raise ValueError(f"plan row for degree {i} has m={row.m}, expected {m}")
         if row.base != base:
             raise ValueError(
                 f"plan row for degree {i} has base={row.base}, table says {base}")
@@ -483,10 +496,8 @@ def plan_closure(
     avg = 2.0 * e / n if n else 0.0
 
     def build_plan():
-        plan = ClosurePlan(k_plus_1, n, e)
-        for i, m, base in feasible:
-            plan.rows.append(PlanRow(i, m, base, t[i], base + t[i] - 1))
-        return plan
+        return ClosurePlan(k_plus_1, n, e, tuple(
+            PlanRow(i, m, base, t[i], base + t[i] - 1) for i, m, base in feasible))
 
     sequences = [(sol.slack, sol.nonzero()) for sol in closure_sufficiency_check(
         k_plus_1, n, e, build_plan(), table).survivors]

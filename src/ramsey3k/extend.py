@@ -343,9 +343,11 @@ def edge_removal_closure(
     (3,k) class, keeping edge counts >= e_floor; {canonical form: Graph}.
 
     Complete input sets of maximal triangle-free members make the result
-    the complete class at that order.
+    the complete class at that order.  A negative floor raises ValueError.
     """
     floor = 0 if e_floor is None else e_floor
+    if floor < 0:
+        raise ValueError(f"negative edge floor {floor}")
     seen: dict = {}
     frontier = []
     for g in mtf_graphs:

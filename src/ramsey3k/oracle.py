@@ -192,9 +192,13 @@ def gv_consistency_check(
 
     The parents are (3,k_parent)-graphs, so triangle-free: e(G) - Z(v) is
     the edge count of G_v (in any graph a lower bound of it), and a G_v
-    above ``ref_e_max`` is skipped before it is built."""
+    above ``ref_e_max`` is skipped before it is built.  A ``ref_n`` outside
+    g.n-k_parent..g.n-1, the orders a G_v can have, raises ValueError."""
     index = IsoIndex(reference_forms)
     for g in parents:
+        if not g.n - k_parent <= ref_n < g.n:
+            raise ValueError(f"reference order {ref_n} is outside the G_v orders "
+                             f"{g.n - k_parent}..{g.n - 1} of a (3,{k_parent})-graph")
         e = g.edge_count()
         for v in range(g.n):
             if g.n - 1 - g.degree(v) != ref_n:

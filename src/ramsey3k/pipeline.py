@@ -2,20 +2,20 @@
 level-by-level bootstrap that regenerates complete graph classes from the
 bottom of the hierarchy.
 
-A manifest binds one target class box to per-degree input files plus the
-closure plan certifying that those inputs suffice.  Each shard glues its
-hosts and writes its own sorted part file, named by the shard and a hash of
-the task and input lines it was computed from; a run deletes every part no
-current shard names, computes only the missing ones and never writes its
-manifest, so an interrupted run resumes without recomputation, a stale part
-is never trusted, and the merged output is byte-identical regardless of
+A manifest binds one target class box to per-degree input files and, as its
+certificate, the closure plan proving that those inputs suffice.  Each shard
+glues its hosts and writes its own sorted part file, named by the shard and
+a hash of the task and input lines it was computed from; a run deletes every
+part no current shard names, computes only the missing ones and never writes
+its manifest, so an interrupted run resumes without recomputation, a stale
+part is never trusted, and the merged output is byte-identical regardless of
 worker count or interruption points.
 
-Canonical-hub acceptance is the one dedup across inputs: under a certified
-plan the parts are disjoint, and the merge of the sorted parts checks it,
-raising on a repeated line.  Without the rule's cover (or with the rule
-switched off) the merge drops repeats instead.  Every file is read and
-written through ``store``.
+Canonical-hub acceptance is the one dedup across inputs: under a plan the
+parts are disjoint, and the merge of the sorted parts checks it, raising on
+a repeated line.  Without the rule's cover (no plan, or the rule switched
+off) the merge drops repeats instead.  Every file is read and written
+through ``store``.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class ManifestError(RuntimeError):
 _SCALARS = {
     "target_k": int, "n": int, "e_max": int,
     "no_prune": lambda v: tuple(x for x in v.split(",") if x),
-    "certified": lambda v: bool(int(v)),
 }
 
 
@@ -94,19 +93,17 @@ class JobManifest:
     e_max: int
     no_prune: tuple = ()
     inputs: list = field(default_factory=list)       # (degree, path)
-    plan: Optional[ClosurePlan] = None
-    certified: bool = False
+    plan: Optional[ClosurePlan] = None   # the closure certificate, if any
 
     def task_for(self, degree: int) -> ExtensionTask:
         toggles = {f"prune_{name}": False for name in self.no_prune}
-        # a certified plan's input rows cover every output, which is what
-        # lets a leaf be kept only from its canonical covered vertex
-        certified = self.certified and self.plan is not None
+        # a plan's input rows cover every output, which is what lets a leaf
+        # be kept only from its canonical covered vertex
         return ExtensionTask(
             k=self.target_k - 1,
             d=degree,
             e_max=self.e_max,
-            cover=self.plan.cover() if certified else (),
+            cover=self.plan.cover() if self.plan is not None else (),
             **toggles,
         )
 
@@ -116,13 +113,12 @@ class JobManifest:
             f"n={self.n}",
             f"e_max={self.e_max}",
             f"no_prune={','.join(self.no_prune)}",
-            f"certified={int(self.certified)}",
         ]
         for degree, p in self.inputs:
             lines.append(f"input={degree}:{p}")
         if self.plan is not None:
             lines.append(f"plan_rows={len(self.plan.rows)}")
-            for r in sorted(self.plan.rows, key=lambda r: r.degree):
+            for r in self.plan.rows:
                 lines.append(
                     f"plan={r.degree},{r.m},{r.base},{r.increment},{r.ceiling}")
         write_lines(path, lines)
@@ -130,12 +126,11 @@ class JobManifest:
     @classmethod
     def read(cls, path: str) -> "JobManifest":
         """Parse a manifest; a missing, malformed or unknown line, an input
-        degree outside 0..target_k-1, a plan row whose m is not
-        n - degree - 1, a certified plan row with a positive increment
-        and no input, or a ``plan_rows=`` count that is missing from a
-        certified manifest or differs from the ``plan=`` lines raises
-        ManifestError.  The count is what tells a certified empty plan from
-        a certified manifest whose plan lines were lost."""
+        degree outside 0..target_k-1, plan rows ``ClosurePlan`` rejects or
+        with a positive increment and no input, or ``plan=`` lines without a
+        ``plan_rows=`` count or other than it says raise ManifestError.  A
+        manifest has a plan, and so is certified, exactly when it has the
+        count: the count tells an empty plan from lost plan lines."""
         fields: dict = {}
         inputs = []
         plan_rows = []
@@ -162,30 +157,25 @@ class JobManifest:
         if unknown:
             raise ManifestError(
                 f"unknown pruning rule(s) {unknown}; known: {PRUNE_NAMES}")
-        manifest = cls(inputs=inputs, **fields)
-        if plan_rows or row_count is not None:
-            manifest.plan = ClosurePlan(manifest.target_k, manifest.n,
-                                        manifest.e_max, plan_rows)
-        degrees = {d for d, _ in inputs}
-        for degree in sorted(degrees | {0}):
-            try:
-                manifest.task_for(degree)  # checks the hub degree and edge cap
-            except ValueError as exc:
-                raise ManifestError(f"{path}: {exc}") from None
-        rows = manifest.plan.rows if manifest.plan is not None else []
-        wrong = [r.degree for r in rows if r.m != manifest.n - r.degree - 1]
-        if wrong:
+        if row_count is None and plan_rows:
+            raise ManifestError(f"{path}: plan= line(s) without plan_rows=")
+        if row_count is not None and row_count != len(plan_rows):
             raise ManifestError(
-                f"{path}: plan rows of degree(s) {wrong} have m != n - degree - 1")
+                f"{path}: plan_rows={row_count} but {len(plan_rows)} plan line(s)")
+        manifest = cls(inputs=inputs, **fields)
+        degrees = {d for d, _ in inputs}
+        try:
+            if row_count is not None:
+                manifest.plan = ClosurePlan(manifest.target_k, manifest.n,
+                                            manifest.e_max, plan_rows)
+            for degree in sorted(degrees | {0}):
+                manifest.task_for(degree)  # checks the hub degree and edge cap
+        except ValueError as exc:
+            raise ManifestError(f"{path}: {exc}") from None
         lacking = sorted({d for d, _ in manifest.task_for(0).cover} - degrees)
         if lacking:
             raise ManifestError(
                 f"{path}: certified plan rows of degree(s) {lacking} have no input")
-        if manifest.certified and row_count is None:
-            raise ManifestError(f"{path}: certified manifest without plan_rows")
-        if row_count is not None and row_count != len(plan_rows):
-            raise ManifestError(
-                f"{path}: plan_rows={row_count} but {len(plan_rows)} plan line(s)")
         return manifest
 
 
@@ -214,8 +204,9 @@ def run_manifest(
     """Execute every shard whose part file is missing, then merge the parts
     into the output store.  The manifest is only read.  A repeated line
     raises StoreError while the canonical rule is active."""
+    nworkers = worker_count(workers)  # a bad count raises before any write
     manifest = JobManifest.read(manifest_path)
-    if not manifest.certified and not allow_partial:
+    if manifest.plan is None and not allow_partial:
         raise ManifestError(
             "manifest lacks a closure certificate; pass allow_partial to run anyway")
     parts_dir = out_path + ".parts"
@@ -236,7 +227,7 @@ def run_manifest(
         os.remove(os.path.join(parts_dir, name))
 
     pending = [shard for shard in shards if not os.path.exists(shard[0])]
-    nworkers = min(worker_count(workers), len(pending))
+    nworkers = min(nworkers, len(pending))
     # each shard writes its own part, and map returns (or raises the first
     # error) only after every shard has run, so a failed or interrupted run
     # keeps every finished part
@@ -258,7 +249,7 @@ def run_manifest(
             continue
         merged.append(line)
     store = GraphStore(manifest.target_k, manifest.n, 0, manifest.e_max,
-                       complete=manifest.certified,
+                       complete=manifest.plan is not None,
                        certificate=_plan_hash(manifest.plan), lines=merged)
     store.write(out_path)
     return store
@@ -374,7 +365,5 @@ class Bootstrap:
                 # file of its own yet
                 st.write(self.store_path(*box))
             inputs.append((degree, self.store_path(*box)))
-        manifest = JobManifest(target_k=k, n=n, e_max=e_cap, inputs=inputs,
-                               plan=plan, certified=True)
-        manifest.write(path + ".manifest")
+        JobManifest(k, n, e_cap, inputs=inputs, plan=plan).write(path + ".manifest")
         return run_manifest(path + ".manifest", path)

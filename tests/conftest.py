@@ -63,8 +63,7 @@ def min_degree_store(directory, k, n, e_max, oracle=brute_force_graphs):
         inputs.append((d, path))
     manifest = os.path.join(directory, "job.manifest")
     JobManifest(target_k=k, n=n, e_max=e_max, inputs=inputs,
-                plan=ClosurePlan(k, n, e_max, rows),
-                certified=True).write(manifest)
+                plan=ClosurePlan(k, n, e_max, rows)).write(manifest)
     return run_manifest(manifest, os.path.join(directory, "out.g6"), workers=1)
 
 

@@ -124,12 +124,12 @@ def test_criterion_4_closure_certificates():
     table = data.builtin_table(10)
 
     def plan_from(k1, n, e, increments):
-        plan = ClosurePlan(k1, n, e)
+        rows = []
         for i, t in increments.items():
             m = n - i - 1
             base = table.bound_value(k1 - 1, m)
-            plan.rows.append(PlanRow(i, m, base, t, base + t - 1))
-        return plan
+            rows.append(PlanRow(i, m, base, t, base + t - 1))
+        return ClosurePlan(k1, n, e, rows)
 
     plan8 = plan_from(8, 25, 65, {2: 1, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1})
     check8 = closure_sufficiency_check(8, 25, 65, plan8, table)

@@ -52,10 +52,8 @@ def test_etable_seed_file(tmp_path, capsys):
 def test_etable_bad_seed_usage_error(tmp_path, capsys, text, reason):
     seed = tmp_path / "t.csv"
     seed.write_text(text)
-    with pytest.raises(SystemExit) as exc:
-        main(["etable", "--k", "3", "--n-from", "4", "--n-to", "8",
-              "--seed", str(seed)])
-    assert exc.value.code == 2
+    assert main(["etable", "--k", "3", "--n-from", "4", "--n-to", "8",
+                 "--seed", str(seed)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and reason in captured.err
@@ -134,7 +132,7 @@ def test_usage_error_exit_code():
 
 def test_unknown_prune_rule(tmp_path):
     manifest = tmp_path / "m.manifest"
-    manifest.write_text("target_k=3\nn=5\ne_max=5\ncertified=1\nno_prune=bogus\n")
+    manifest.write_text("target_k=3\nn=5\ne_max=5\nplan_rows=0\nno_prune=bogus\n")
     assert main(["extend", "--manifest", str(manifest),
                  "--out", str(tmp_path / "o.g6")]) == 2
 
@@ -181,36 +179,41 @@ def test_extend_no_prune_canonical_same_store(tmp_path):
     assert stores[0] == stores[1]
 
 
-BOX = "target_k=3\nn=5\ne_max=5\ncertified=1\n"
+BOX = "target_k=3\nn=5\ne_max=5\nplan_rows=0\n"   # an empty certified plan
+UNCERTIFIED = "target_k=3\nn=5\ne_max=5\n"
 
 
 @pytest.mark.parametrize("text, key", [
-    ("n=5\ne_max=5\ncertified=1\n", "target_k"),
+    ("n=5\ne_max=5\nplan_rows=0\n", "target_k"),
     ("target_k=x\nn=5\ne_max=5\n", "target_k"),
     (BOX + "input=2\n", "input"),
     (BOX + "plan=1,2,3\n", "plan"),
     (BOX + "done=2:0\n", "done"),
     (BOX + "regular=1\n", "regular"),
     (BOX + "shard_size=500\n", "shard_size"),
-    ("target_k=3\nn=5\ne_max=5\ncertified=0\n", "certificate"),
+    (UNCERTIFIED, "certificate"),
+    (BOX + "certified=1\n", "unknown key 'certified'"),
     (BOX + "d_min=0\n", "d_min"),
     (BOX + "delta_max=\n", "delta_max"),
     (BOX + "input=-1:f.g6\n", "hub degree -1 outside 0..2"),
     (BOX + "input=7:f.g6\n", "hub degree 7 outside 0..2"),
     (BOX + "e_max=-1\n", "edge cap"),
-    (BOX, "certified manifest without plan_rows"),
-    (BOX + "plan=2,2,1,0,0\n", "certified manifest without plan_rows"),
-    (BOX + "plan_rows=1\n", "plan_rows=1 but 0 plan line(s)"),
-    (BOX + "plan_rows=0\nplan=2,2,1,0,0\n", "plan_rows=0 but 1 plan line(s)"),
-    ("target_k=3\nn=5\ne_max=5\nplan_rows=2\nplan=2,2,1,0,0\n",
+    (UNCERTIFIED + "certified=1\n", "unknown key 'certified'"),
+    (UNCERTIFIED + "plan=2,2,1,0,0\n", "plan= line(s) without plan_rows="),
+    (UNCERTIFIED + "plan_rows=1\n", "plan_rows=1 but 0 plan line(s)"),
+    (BOX + "plan=2,2,1,0,0\n", "plan_rows=0 but 1 plan line(s)"),
+    (UNCERTIFIED + "plan_rows=2\nplan=2,2,1,0,0\n",
      "plan_rows=2 but 1 plan line(s)"),
-    (BOX + "plan_rows=x\n", "plan_rows"),
+    (UNCERTIFIED + "plan_rows=x\n", "plan_rows"),
+    (UNCERTIFIED + "plan_rows=2\nplan=2,2,1,0,0\nplan=2,2,1,0,0\n",
+     "repeats row(s) of degree(s) [2]"),
 ], ids=["missing-key", "not-an-integer", "malformed-input", "malformed-plan",
         "unknown-key-done", "unknown-key-regular", "unknown-key-shard-size",
-        "uncertified", "unknown-key-d-min", "unknown-key-delta-max",
-        "input-degree-negative", "input-degree-above-k", "negative-e-max",
-        "certified-no-plan", "certified-plan-no-count", "count-above-rows",
-        "count-below-rows", "uncertified-count-mismatch", "malformed-count"])
+        "uncertified", "unknown-key-certified", "unknown-key-d-min",
+        "unknown-key-delta-max", "input-degree-negative",
+        "input-degree-above-k", "negative-e-max", "certified-no-plan",
+        "certified-plan-no-count", "count-above-rows", "count-below-rows",
+        "uncertified-count-mismatch", "malformed-count", "plan-degree-repeated"])
 def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
     manifest = tmp_path / "m.manifest"
     manifest.write_text(text)
@@ -253,6 +256,13 @@ def _store_with_malformed_meta(tmp_path):
 def _oracle_manifest(tmp_path):
     from test_pipeline import oracle_manifest
     return oracle_manifest(tmp_path)
+
+
+def _c5_store_and_k2(tmp_path):
+    """The C5 store, beside a K2 store k2.g6."""
+    GraphStore(2, 2, lines=[canonical_form(Graph.from_edges(2, [(0, 1)]))]
+               ).write(str(tmp_path / "k2.g6"))
+    return _c5_store(tmp_path)
 
 
 def _mtf_mixed_orders(tmp_path):
@@ -311,7 +321,13 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
                  "--store"], 2),
     (_c5_store, ["verify", "--k", "3", "--add-edges", "-1", "s.g6",
                  "--store"], 2),
+    # a G_v of a (3,3)-graph on 5 vertices has 2..4 vertices
+    (_c5_store, ["verify", "--k", "3", "--gv", "s.g6", "--store"], 2),
+    (_c5_store_and_k2, ["verify", "--k", "3", "--add-edges", "1", "k2.g6",
+                        "--store"], 2),
     (_c5_store, ["closure", "--k", "0", "--out", "o.g6", "--mtf"], 2),
+    (_c5_store, ["closure", "--k", "3", "--e-max", "-1", "--out", "o.g6",
+                 "--mtf"], 2),
     (_mtf_non_maximal, ["closure", "--k", "3", "--out", "o.g6", "--mtf"], 1),
     (None, ["etable", "--k", "0", "--n-from", "0", "--n-to", "3"], 2),
     (None, ["plan", "--k", "0", "--n", "5", "--e", "5"], 2),
@@ -330,7 +346,9 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
         "oracle-negative-n", "workers-env-not-an-integer", "workers-env-0",
         "workers-env-negative", "workers-0", "workers-negative", "verify-k-0",
         "verify-add-edges-not-an-integer", "verify-add-edges-0",
-        "verify-add-edges-negative", "closure-k-0", "closure-non-maximal",
+        "verify-add-edges-negative", "verify-gv-ref-order",
+        "verify-add-edges-ref-order", "closure-k-0", "closure-negative-e-max",
+        "closure-non-maximal",
         "etable-k-0", "plan-k-0", "degseq-k-0", "oracle-negative-e-max",
         "plan-negative-n", "plan-negative-e", "degseq-negative-n",
         "degseq-negative-e", "degseq-dmin-negative"])
@@ -345,7 +363,8 @@ def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert not (tmp_path / "o.g6").exists()
     # errors the command reports itself
-    if make in (None, _oracle_manifest, _c5_store, _mtf_mixed_orders):
+    if make in (None, _oracle_manifest, _c5_store, _c5_store_and_k2,
+                _mtf_mixed_orders):
         assert err.startswith("ramsey3k: error:")
     if make is _mtf_non_maximal:
         assert err.startswith("verification failed: addable edge")
@@ -369,7 +388,7 @@ def test_verify_checks_members_against_k(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--k", "4", "--store", c5]) == 1
     assert capsys.readouterr().err == (
-        f"ramsey3k: error: {c5} holds k=3 members, not --k 4\n")
+        f"verification failed: {c5} holds k=3 members, not --k 4\n")
 
 
 def test_closure_of_no_graphs_usage_error(tmp_path, capsys):

@@ -200,12 +200,12 @@ class TestMinEdgeBound:
 
 
 def make_plan(k_plus_1, n, e, table, increments):
-    plan = ClosurePlan(k_plus_1, n, e)
+    rows = []
     for i, t in increments.items():
         m = n - i - 1
         base = table.bound_value(k_plus_1 - 1, m)
-        plan.rows.append(PlanRow(i, m, base, t, base + t - 1))
-    return plan
+        rows.append(PlanRow(i, m, base, t, base + t - 1))
+    return ClosurePlan(k_plus_1, n, e, rows)
 
 
 class TestClosure:
@@ -235,6 +235,11 @@ class TestClosure:
         plan = make_plan(8, 25, 65, builtin, {2: 1, 3: 1, 4: 2, 5: 3, 6: 2})
         with pytest.raises(ValueError):
             closure_sufficiency_check(8, 25, 65, plan, builtin)
+
+    def test_plan_of_another_order_is_error(self, builtin):
+        plan = make_plan(8, 25, 65, builtin, {2: 1, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1})
+        with pytest.raises(ValueError, match="order 25, not 26"):
+            closure_sufficiency_check(8, 26, 65, plan, builtin)
 
     def test_plan_closure_certifies(self, builtin):
         for (k1, n, e) in [(8, 25, 65), (7, 16, 23), (6, 13, 17)]:

@@ -187,6 +187,13 @@ class TestGvConsistency:
             ref = brute_force_graphs(m, 3, None)
             assert gv_consistency_check(parents.values(), 4, set(ref), ref_n=m)
 
+    def test_reference_order_outside_window(self):
+        # a G_v of a (3,4)-graph on 7 vertices has 3..6 vertices
+        parents = brute_force_graphs(7, 4, 8).values()
+        for m in (2, 7, 8):
+            with pytest.raises(ValueError, match=f"reference order {m}"):
+                gv_consistency_check(parents, 4, set(), ref_n=m)
+
     def test_negative_control(self):
         ref = set()
         assert not gv_consistency_check([cycle(5)], 3, ref, ref_n=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -6,7 +7,7 @@ import pytest
 
 from ramsey3k import cli, data, extend, pipeline
 from ramsey3k.canon import canonical_form
-from ramsey3k.degseq import EXACT, INFINITE, ClosurePlan, plan_closure
+from ramsey3k.degseq import EXACT, INFINITE, ClosurePlan, PlanRow, plan_closure
 from ramsey3k.graphs import Graph, GraphFormatError, encode_graph6
 from ramsey3k.oracle import brute_force_graphs
 from ramsey3k.pipeline import (
@@ -36,8 +37,7 @@ def oracle_manifest(tmp_path, k=3, n=5, e=5):
         tmp_path, f"d{d}.g6",
         brute_force_graphs(n - d - 1, k - 1, ceiling).values()))
         for d, ceiling in plan.cover()]
-    manifest = JobManifest(target_k=k, n=n, e_max=e, inputs=inputs,
-                           plan=plan, certified=True)
+    manifest = JobManifest(target_k=k, n=n, e_max=e, inputs=inputs, plan=plan)
     path = str(tmp_path / "job.manifest")
     manifest.write(path)
     return path
@@ -47,13 +47,15 @@ class TestManifest:
     def test_roundtrip(self, tmp_path):
         path = oracle_manifest(tmp_path)
         m = JobManifest.read(path)
-        assert (m.target_k, m.n, m.e_max, m.certified) == (3, 5, 5, True)
+        assert (m.target_k, m.n, m.e_max) == (3, 5, 5)
         assert m.plan is not None and len(m.plan.rows) >= 1
+        # carrying a plan is what certifies a manifest
+        assert not any(line.startswith("certified=") for line in read_lines(path))
 
     def test_cover_needs_a_certificate(self, tmp_path):
         m = JobManifest.read(oracle_manifest(tmp_path))
         assert m.task_for(2).cover == m.plan.cover() != ()
-        m.certified = False
+        m.plan = None
         assert m.task_for(2).cover == ()
 
     def test_run_produces_c5(self, tmp_path):
@@ -232,7 +234,7 @@ class TestManifest:
     def test_uncertified_refused(self, tmp_path):
         path = oracle_manifest(tmp_path)
         m = JobManifest.read(path)
-        m.certified = False
+        m.plan = None
         m.write(path)
         with pytest.raises(ManifestError):
             run_manifest(path, str(tmp_path / "x.g6"))
@@ -274,11 +276,39 @@ class TestManifest:
         with pytest.raises(ManifestError, match=re.escape("degree(s) [2]")):
             JobManifest.read(path)
 
+    def test_repeated_plan_degree(self, tmp_path):
+        # a second degree-3 row would split the degree-3 hosts between two
+        # covers; glued, the store would hold 2 of the class's 3 graphs
+        Bootstrap(str(tmp_path / "bs")).store(4, 8, 12)
+        path = str(tmp_path / "bs" / "c4_n8_e12.g6.manifest")
+        lines = read_lines(path)
+        assert "plan_rows=2" in lines and "plan=3,4,2,2,3" in lines
+        write_lines(path, [line.replace("plan_rows=2", "plan_rows=3")
+                           for line in lines] + ["plan=3,4,2,1,2"])
+        out = str(tmp_path / "x.g6")
+        with pytest.raises(ManifestError, match=re.escape("degree(s) [3]")):
+            run_manifest(path, out, workers=1)
+        assert cli.main(["extend", "--manifest", path, "--out", out]) == 2
+        assert not os.path.exists(out)
+
+    def test_closure_plan_checks_its_rows(self):
+        low, high = PlanRow(1, 3, 2, 1, 2), PlanRow(2, 2, 1, 0, 0)
+        plan = ClosurePlan(3, 5, 5, [high, low])
+        assert plan.rows == (low, high)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.rows = ()
+        with pytest.raises(ValueError, match=re.escape(
+                "degree(s) [2] have m != n - degree - 1")):
+            ClosurePlan(3, 5, 5, [low, PlanRow(2, 3, 1, 0, 0)])
+        with pytest.raises(ValueError, match=re.escape(
+                "repeats row(s) of degree(s) [1]")):
+            ClosurePlan(3, 5, 5, [low, high, PlanRow(1, 3, 2, 0, 1)])
+
     def test_input_of_wrong_order(self, tmp_path):
         k2 = write_inputs(tmp_path, "k2.g6", [Graph.from_edges(2, [(0, 1)])])
         path = str(tmp_path / "job.manifest")
         JobManifest(target_k=3, n=5, e_max=5, inputs=[(1, k2)],
-                    plan=ClosurePlan(3, 5, 5), certified=True).write(path)
+                    plan=ClosurePlan(3, 5, 5)).write(path)
         out = str(tmp_path / "x.g6")
         with pytest.raises(ManifestError, match="A_ has order 2"):
             run_manifest(path, out, workers=1)
@@ -327,7 +357,9 @@ class TestMergeCheck:
     def test_repeat_without_rule_dropped(self, tmp_path, no_prune, certified):
         path = oracle_manifest(tmp_path, 4, 6, 9)
         m = JobManifest.read(path)
-        m.no_prune, m.certified = no_prune, certified
+        m.no_prune = no_prune
+        if not certified:
+            m.plan = None
         m.write(path)
         out, fresh = str(tmp_path / "out.g6"), str(tmp_path / "fresh.g6")
         run_manifest(path, out, workers=1, allow_partial=True)
@@ -346,7 +378,7 @@ class TestCanonicalRule:
     def test_task_cover_from_certified_plan(self, tmp_path):
         m = JobManifest.read(oracle_manifest(tmp_path, 4, 6, 9))
         assert m.task_for(2).cover == ((1, 2), (2, 2), (3, 0))
-        m.certified = False
+        m.plan = None
         assert m.task_for(2).cover == ()
 
     def test_degree_rows_disjoint(self, tmp_path):
