@@ -27,11 +27,19 @@ rejects.  Six prunings cut the recursion and the leaves:
                       tuple;
   * full union     -- an independent (k-i)-set of H outside all i assigned
                       sets already forces an independent (k+1)-set;
-  * canonical      -- a leaf is labelled only when its hub is the canonical
+  * canonical      -- a leaf is kept only when its hub is the canonical
                       vertex among itself and the covered vertices: the
                       smallest (deg, Z, sorted neighbour Zs), where Z(v) is
                       the degree sum of v's neighbours, with ties broken by
-                      the smallest rooted key.
+                      the smallest rooted key.  A tie is settled by the
+                      search that labels the output: a rival its generators
+                      map the hub to shares the hub's rooted key, so only
+                      the hub and the rivals outside that orbit are keyed.
+                      Before the descent, a set S is dropped when its hub
+                      neighbour is always covered and of lower degree than
+                      the hub: |S| + 1 < d and e_max - d - sum over w in S
+                      of (deg_H(w) + 1) is within the ceiling of degree
+                      |S| + 1, that sum being a floor on the neighbour's Z.
 
 A vertex v of an output G is covered by the task's (degree, ceiling) pairs
 when deg v has a ceiling and e(G) - Z(v) <= ceiling; in a triangle-free
@@ -61,7 +69,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .canon import canonical_form, canonical_with_automorphisms, rooted_key
+from .canon import (
+    _orbit_reaches,
+    canonical_form,
+    canonical_with_automorphisms,
+    rooted_key,
+)
 from .graphs import (
     CapacityError,
     Graph,
@@ -143,34 +156,41 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
         return _alpha(adj, mask, r)[0] >= r
 
     lo_t = 3 if task.prune_pair else 2
+    hi_t = d - 1 if task.prune_union else d
 
     def accept(assigned, e_total: int) -> None:
-        """Leaf test: edge cap, independence bound.  Degrees need no test:
-        a vertex pushed past k closes an independent (k+1)-set (see the
-        module docstring) that the pair test or the unions below reject.
+        """Leaf test: edge cap, independence bound, then the canonical
+        rule, whose labelling search gives the output's form.  Degrees need
+        no test: a vertex pushed past k closes an independent (k+1)-set (see
+        the module docstring) that the pair test or the unions below reject.
 
         An independent (k+1)-set of the output misses the hub (H has none of
         order k), so it is |T| hub neighbors plus a (k+1-|T|)-set of H
-        avoiding their sets; |T| <= 1 is ruled out by alpha(H) < k, and
-        pairs were already vetted during the descent when the pair test is
-        on.
+        avoiding their sets; |T| <= 1 is ruled out by alpha(H) < k, pairs
+        were already vetted during the descent when the pair test is on, and
+        |T| = d by the last pick's full-union test when that is on.
         """
         if e_total > task.e_max:
             return
-        # unions over all subsets T of the assigned sets
-        masks = [0]
-        sizes = [0]
-        for s in assigned:
-            for x in range(len(masks)):
-                masks.append(masks[x] | s)
-                sizes.append(sizes[x] + 1)
-        for mask, t in zip(masks, sizes):
-            if t >= lo_t and alpha_ge(full & ~mask, k + 1 - t):
-                return
+        if lo_t <= hi_t:
+            # unions over all subsets T of the assigned sets
+            masks = [0]
+            sizes = [0]
+            for s in assigned:
+                for x in range(len(masks)):
+                    masks.append(masks[x] | s)
+                    sizes.append(sizes[x] + 1)
+            for mask, t in zip(masks, sizes):
+                if lo_t <= t <= hi_t and alpha_ge(full & ~mask, k + 1 - t):
+                    return
         g = _assemble(H, assigned)
-        if task.canonical_rule and not _hub_canonical(g, e_total, ceilings):
-            return
-        out.setdefault(canonical_form(g), g)
+        if task.canonical_rule:
+            form = _hub_canonical(g, e_total, ceilings)
+            if form is None:
+                return
+        else:
+            form = canonical_form(g)
+        out.setdefault(form, g)
 
     if d == 0:
         accept((), e_h)
@@ -264,7 +284,11 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
                     continue  # no eligible sets left for the other neighbors
             descend(child, new_prefix, new_union, size_sum + orders[idx])
 
-    descend((1 << len(sets)) - 1, (), 0, 0)
+    eligible = (1 << len(sets)) - 1
+    if task.canonical_rule:
+        # an Aut(H)-invariant cut, so each orbit's smallest tuple stays
+        eligible &= ~_outranked_sets(H, sets, d, task.e_max, ceilings)
+    descend(eligible, (), 0, 0)
     # descend refers to itself through its closure cell; breaking that cycle
     # frees the sets, rows and table now instead of at the next collection
     del descend
@@ -285,13 +309,35 @@ def _assemble(H: Graph, assigned) -> Graph:
     return Graph._make(m + d + 1, tuple(adj))
 
 
-def _hub_canonical(g: Graph, e_total: int, ceilings: dict) -> bool:
-    """Whether the hub (the last vertex) is the canonical vertex among itself
-    and the covered vertices: smallest (deg, Z, sorted neighbour Zs), ties
-    broken by the smallest rooted key.
+def _outranked_sets(H: Graph, sets, d: int, e_max: int, ceilings: dict) -> int:
+    """Mask of the sets S whose hub neighbour u outranks the hub at every
+    leaf holding S: deg u = |S| + 1 < d, and u is covered, as Z(u) is at
+    least d + sum over w in S of (deg_H(w) + 1) (each w also gains u) and
+    e(G) <= e_max.  Sets come in order of size, so the scan stops at the
+    first set of size d - 1."""
+    deg = [row.bit_count() for row in H.adj]
+    dropped = 0
+    for idx, s in enumerate(sets):
+        size = s.bit_count()
+        if size + 1 >= d:
+            break
+        # uncovered when degree size + 1 has no ceiling (-1)
+        z_floor = d + size + sum([deg[w] for w in bits(s)])
+        if e_max - z_floor <= ceilings.get(size + 1, -1):
+            dropped |= 1 << idx
+    return dropped
+
+
+def _hub_canonical(g: Graph, e_total: int, ceilings: dict) -> Optional[str]:
+    """g's canonical form when the hub (the last vertex) is the canonical
+    vertex among itself and the covered vertices, else None: the smallest
+    (deg, Z, sorted neighbour Zs), ties broken by the smallest rooted key.
 
     A vertex w is covered when its degree has a ceiling and e(G) - Z(w), the
-    edge count of its local subgraph, is at most that ceiling.
+    edge count of its local subgraph, is at most that ceiling.  A tie is
+    settled from g's own labelling search: a rival that its generators
+    reach from the hub lies in the hub's orbit and shares its rooted key,
+    so only the hub and the rivals outside that orbit are keyed.
     """
     adj = g.adj
     hub = g.n - 1
@@ -321,13 +367,18 @@ def _hub_canonical(g: Graph, e_total: int, ceilings: dict) -> bool:
             continue
         inv = invariant(w)
         if inv < hub_inv:
-            return False
+            return None
         if inv == hub_inv:
             rivals.append(w)
     if not rivals:
-        return True
-    key = rooted_key(g, hub)
-    return all(key <= rooted_key(g, w) for w in rivals)
+        return canonical_form(g)
+    form, gens = canonical_with_automorphisms(g)
+    others = [w for w in rivals if not _orbit_reaches(gens, (), hub, {w})]
+    if others:
+        key = rooted_key(g, hub)
+        if any(rooted_key(g, w) < key for w in others):
+            return None
+    return form
 
 
 # ---------------------------------------------------------------------------

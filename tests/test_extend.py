@@ -24,8 +24,8 @@ from ramsey3k.graphs import (
 )
 from ramsey3k.indepcache import TABLE_MAX_ORDER, independent_sets
 from ramsey3k.oracle import brute_force_graphs, naive_mtf_set
-from ramsey3k.pipeline import JobManifest
-from ramsey3k.store import read_lines
+from ramsey3k.pipeline import Bootstrap, JobManifest
+from ramsey3k.store import GraphStore, read_lines
 
 from conftest import (cycle, min_degree_store, path, petersen,
                       random_triangle_free)
@@ -201,7 +201,8 @@ class TestCanonicalHub:
         for v in range(g.n):
             perm = list(range(g.n))
             perm[v], perm[-1] = perm[-1], perm[v]
-            if _hub_canonical(g.permuted(perm), g.edge_count(), ceilings):
+            if _hub_canonical(g.permuted(perm), g.edge_count(),
+                              ceilings) is not None:
                 accepted.append(v)
         return accepted
 
@@ -252,6 +253,26 @@ class TestCanonicalHub:
                 accepted = self.accepted_hubs(g, ceilings)
                 assert [v for v in accepted if v in rank] == want, g
 
+    def test_orbit_settles_ties(self, monkeypatch):
+        """On the vertex-transitive Petersen graph every vertex ties with the
+        hub, and the output's own search maps the hub onto each of them: no
+        rooted key is computed, and the accepted form is the canonical one."""
+        calls = []
+
+        def counting(g, v):
+            calls.append(v)
+            return rooted_key(g, v)
+
+        monkeypatch.setattr("ramsey3k.extend.rooted_key", counting)
+        g = petersen()
+        want = canonical_form(g)
+        for v in range(g.n):
+            perm = list(range(g.n))
+            perm[v], perm[-1] = perm[-1], perm[v]
+            assert _hub_canonical(g.permuted(perm), g.edge_count(),
+                                  {3: g.edge_count()}) == want
+        assert calls == []
+
     def test_uncovered_vertices_do_not_compete(self):
         # the path's ends have the smallest invariant, but with only degree 2
         # covered the canonical degree-2 hubs are the second and second-last
@@ -259,6 +280,39 @@ class TestCanonicalHub:
         g = path(6)
         accepted = self.accepted_hubs(g, {2: g.edge_count()})
         assert [v for v in accepted if g.degree(v) == 2] == [1, 4]
+
+
+@pytest.mark.parametrize("box, leaves, cut_leaves", [
+    ((6, 12, 14), 105, 49),
+    ((6, 11, 10), 6, 1),
+])
+def test_outranked_sets_cut_before_descent(monkeypatch, tmp_path, box,
+                                           leaves, cut_leaves):
+    """The d = 3 row of a certified plan: sets whose hub neighbour is a
+    covered vertex of lower degree than the hub are dropped before the
+    descent, so fewer leaves are assembled and the outputs stay the same."""
+    bs = Bootstrap(str(tmp_path))
+    bs.store(*box)
+    manifest = JobManifest.read(bs.store_path(*box) + ".manifest")
+    task = manifest.task_for(3)
+    hosts = list(GraphStore.read(dict(manifest.inputs)[3]).graphs())
+    calls = []
+
+    def counting(H, assigned):
+        calls.append(assigned)
+        return _assemble(H, assigned)
+
+    monkeypatch.setattr("ramsey3k.extend._assemble", counting)
+
+    def glue():
+        calls.clear()
+        forms = [sorted(glue_extend(h, task)) for h in hosts]
+        return len(calls), forms
+
+    assembled, forms = glue()
+    assert assembled == cut_leaves
+    monkeypatch.setattr("ramsey3k.extend._outranked_sets", lambda *a: 0)
+    assert glue() == (leaves, forms)
 
 
 def test_search_state_freed_without_collector():
