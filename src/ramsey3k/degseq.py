@@ -220,7 +220,7 @@ class DegreeSequenceSolution:
 
 
 def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo=0, d_hi=None):
-    """Allowed degrees and their i^2 + bound(k-1, n-i-1) costs."""
+    """Each allowed degree's i^2 + bound(k-1, n-i-1) cost; the degrees ascend."""
     if k < 1:
         raise ValueError(f"class bound k must be >= 1, got {k}")
     if n < 0:
@@ -239,7 +239,7 @@ def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo=0, d_hi=None):
         if entry.kind == INFINITE:
             continue
         costs[i] = i * i + entry.value
-    return list(costs), costs  # the degrees ascend
+    return costs
 
 
 def feasible_sequences(
@@ -249,26 +249,23 @@ def feasible_sequences(
     table: EdgeBoundTable,
     d_lo: int = 0,
     d_hi: Optional[int] = None,
-    extra: Optional[dict] = None,
 ) -> list:
-    """All degree-count vectors satisfying the system at exactly e edges.
-
-    ``extra`` adds per-degree increments to the table bounds (the closure
-    certificate uses this).  Output is in lexicographic order of the count
-    vector over ascending degrees.
-    """
+    """All degree-count vectors satisfying the system at exactly e edges,
+    in lexicographic order of the count vector over ascending degrees."""
     if e < 0:
         raise ValueError(f"negative edge count {e}")
-    degrees, costs = _degree_costs(k, n, table, d_lo, d_hi)
-    if extra:
-        for i in list(costs):
-            costs[i] += extra.get(i, 0)
-    if not degrees:
+    return _sequences(n, e, _degree_costs(k, n, table, d_lo, d_hi))
+
+
+def _sequences(n: int, e: int, costs: dict) -> list:
+    """The solutions at exactly e edges of the system whose degree-i vertices
+    cost ``costs[i]``, in the order ``feasible_sequences`` documents."""
+    order = sorted(costs, reverse=True)
+    if not order:
         return []
-    lo, hi = degrees[0], degrees[-1]
+    lo, hi = order[-1], order[0]
     budget = n * e
     target_s = 2 * e
-    order = sorted(degrees, reverse=True)
     # cheapest cost among classes from idx onward, for pruning; past the
     # last class no vertex can be placed
     suffix_min = [_INF_SENTINEL] * (len(order) + 1)
@@ -322,16 +319,15 @@ def min_edge_bound(k: int, n: int, table: EdgeBoundTable) -> BoundEntry:
     """
     import numpy as np  # here, so the pure-Python paths never load it
 
-    degrees, costs = _degree_costs(k, n, table)
-    if not degrees or n == 0:
+    costs = _degree_costs(k, n, table)
+    if not costs or n == 0:
         if n == 0:
             return BoundEntry(LOWER, 0, "computed")
         return BoundEntry(INFINITE, provenance="computed")
-    smax = n * max(degrees)
+    smax = n * max(costs)
     f = np.full((n + 1, smax + 1), _INF_SENTINEL, dtype=np.int64)
     f[0, 0] = 0
-    for i in degrees:
-        c = costs[i]
+    for i, c in costs.items():
         if i == 0:
             for u in range(1, n + 1):
                 np.minimum(f[u], f[u - 1] + c, out=f[u])
@@ -392,6 +388,12 @@ class ClosurePlan:
         """(degree, ceiling) of each row with a positive increment, in order."""
         return tuple((r.degree, r.ceiling) for r in self.rows if r.increment > 0)
 
+    def survivors(self) -> list:
+        """The solutions at each e' <= e once each row's bound rises by its
+        increment; none certifies the box if a table backs the rows."""
+        costs = {r.degree: r.degree ** 2 + r.base + r.increment for r in self.rows}
+        return [sol for e in range(self.e + 1) for sol in _sequences(self.n, e, costs)]
+
     CSV_HEADER = ["degree", "m", "base", "increment", "ceiling"]
 
     def to_csv(self) -> str:
@@ -412,8 +414,8 @@ class ClosureCheck:
 def _feasible_rows(k_plus_1: int, n: int, table: EdgeBoundTable) -> list:
     """(degree i, m = n-i-1, e(3,k,m)) for every degree whose local
     subgraph order has a finite edge bound."""
-    degrees, costs = _degree_costs(k_plus_1, n, table)
-    return [(i, n - i - 1, costs[i] - i * i) for i in degrees]
+    return [(i, n - i - 1, c - i * i)
+            for i, c in _degree_costs(k_plus_1, n, table).items()]
 
 
 def closure_sufficiency_check(
@@ -428,27 +430,20 @@ def closure_sufficiency_check(
 
     A graph missed by the plan would have, at every vertex of degree i, a
     local subgraph with at least base_i + t_i edges; its degree sequence
-    would then solve the system with the incremented bounds.  No solution
-    at any edge count up to e means no graph is missed.
+    would then be one of ``plan.survivors()``.  The table checks the plan's
+    box and its bases, one per degree the table leaves feasible.
     """
     if e < 0:
         raise ValueError(f"negative edge cap {e}")
-    if plan.n != n:
-        raise ValueError(f"plan is for order {plan.n}, not {n}")
-    plan_rows = {r.degree: r for r in plan.rows}
-    extra = {}
-    for i, _, base in _feasible_rows(k_plus_1, n, table):
-        row = plan_rows.get(i)
-        if row is None:
-            raise ValueError(f"plan has no row for feasible degree {i}")
-        if row.base != base:
-            raise ValueError(
-                f"plan row for degree {i} has base={row.base}, table says {base}")
-        extra[i] = row.increment
-    survivors = []
-    for e_prime in range(0, e + 1):
-        survivors.extend(
-            feasible_sequences(k_plus_1, n, e_prime, table, extra=extra))
+    for name, got, want in (("class", plan.k_plus_1, k_plus_1),
+                            ("order", plan.n, n), ("edge cap", plan.e, e)):
+        if got != want:
+            raise ValueError(f"plan is for {name} {got}, not {want}")
+    bases = {r.degree: r.base for r in plan.rows}
+    table_bases = {i: base for i, _, base in _feasible_rows(k_plus_1, n, table)}
+    if bases != table_bases:
+        raise ValueError(f"plan bases {bases} differ from the table's {table_bases}")
+    survivors = plan.survivors()
     return ClosureCheck(not survivors, survivors)
 
 
@@ -487,9 +482,9 @@ def plan_closure(
     sequences, so an increment that could not drop when visited cannot drop
     later either: no single increment of the result can drop by one.
 
-    Both phases filter the zero plan's survivors (``_survivors``), and
-    ``closure_sufficiency_check`` certifies the returned plan.  Raises
-    RuntimeError when no certified plan is found.
+    The plan certifies itself: both phases filter the zero plan's
+    ``survivors()`` (``_survivors``), and ``closure_sufficiency_check``
+    checks it against the table.  Raises RuntimeError if no plan certifies.
     """
     feasible = _feasible_rows(k_plus_1, n, table)
     t = {i: 0 for i, _, _ in feasible}
@@ -499,8 +494,7 @@ def plan_closure(
         return ClosurePlan(k_plus_1, n, e, tuple(
             PlanRow(i, m, base, t[i], base + t[i] - 1) for i, m, base in feasible))
 
-    sequences = [(sol.slack, sol.nonzero()) for sol in closure_sufficiency_check(
-        k_plus_1, n, e, build_plan(), table).survivors]
+    sequences = [(sol.slack, sol.nonzero()) for sol in build_plan().survivors()]
 
     for _ in range(PLAN_MAX_ROUNDS):
         alive = _survivors(sequences, t)

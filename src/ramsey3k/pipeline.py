@@ -3,13 +3,15 @@ level-by-level bootstrap that regenerates complete graph classes from the
 bottom of the hierarchy.
 
 A manifest binds one target class box to per-degree input files and, as its
-certificate, the closure plan proving that those inputs suffice.  Each shard
-glues its hosts and writes its own sorted part file, named by the shard and
-a hash of the task and input lines it was computed from; a run deletes every
-part no current shard names, computes only the missing ones and never writes
-its manifest, so an interrupted run resumes without recomputation, a stale
-part is never trusted, and the merged output is byte-identical regardless of
-worker count or interruption points.
+certificate, the closure plan proving that those inputs suffice.  The plan
+certifies itself when read; only its bases, taken from a bound table the
+manifest does not name, are trusted.  Each shard glues its hosts and writes
+its own sorted part file, named by the shard and a hash of the task and input
+lines it was computed from; a run deletes every part no current shard names,
+computes only the missing ones and never writes its manifest, so an
+interrupted run resumes without recomputation, a stale part is never trusted,
+and the merged output is byte-identical regardless of worker count or
+interruption points.
 
 Canonical-hub acceptance is the one dedup across inputs: under a plan the
 parts are disjoint, and the merge of the sorted parts checks it, raising on
@@ -126,11 +128,12 @@ class JobManifest:
     @classmethod
     def read(cls, path: str) -> "JobManifest":
         """Parse a manifest; a missing, malformed or unknown line, an input
-        degree outside 0..target_k-1, plan rows ``ClosurePlan`` rejects or
-        with a positive increment and no input, or ``plan=`` lines without a
-        ``plan_rows=`` count or other than it says raise ManifestError.  A
-        manifest has a plan, and so is certified, exactly when it has the
-        count: the count tells an empty plan from lost plan lines."""
+        degree outside 0..target_k-1, plan rows ``ClosurePlan`` rejects, that
+        leave a survivor or with a positive increment and no input, or
+        ``plan=`` lines without a ``plan_rows=`` count or other than it says
+        raise ManifestError.  A manifest has a plan, and so is certified,
+        exactly when it has the count: the count tells an empty plan from
+        lost plan lines."""
         fields: dict = {}
         inputs = []
         plan_rows = []
@@ -172,6 +175,9 @@ class JobManifest:
                 manifest.task_for(degree)  # checks the hub degree and edge cap
         except ValueError as exc:
             raise ManifestError(f"{path}: {exc}") from None
+        if manifest.plan is not None and (left := manifest.plan.survivors()):
+            raise ManifestError(
+                f"{path}: plan leaves degree sequences uncovered: {left[0]}")
         lacking = sorted({d for d, _ in manifest.task_for(0).cover} - degrees)
         if lacking:
             raise ManifestError(

@@ -241,6 +241,36 @@ class TestClosure:
         with pytest.raises(ValueError, match="order 25, not 26"):
             closure_sufficiency_check(8, 26, 65, plan, builtin)
 
+    def test_plan_of_another_box_is_error(self, builtin):
+        plan = make_plan(8, 25, 65, builtin, {2: 1, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1})
+        with pytest.raises(ValueError, match="edge cap 65, not 60"):
+            closure_sufficiency_check(8, 25, 60, plan, builtin)
+        with pytest.raises(ValueError, match="class 8, not 9"):
+            closure_sufficiency_check(9, 25, 65, plan, builtin)
+
+    def test_plan_row_the_table_rules_out_is_error(self, builtin):
+        # e(3,7,23) is infinite, so no (8;25)-graph has a vertex of degree 1
+        plan = make_plan(8, 25, 65, builtin, {2: 1, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1})
+        odd = ClosurePlan(8, 25, 65, plan.rows + (PlanRow(1, 23, 0, 1, 0),))
+        with pytest.raises(ValueError, match="bases"):
+            closure_sufficiency_check(8, 25, 65, odd, builtin)
+
+    @pytest.mark.parametrize("box", [(7, 16, 23), (8, 25, 65), (9, 27, 61)])
+    def test_survivors_match_feasible_sequences(self, builtin, rng, box):
+        # the plan's own solver agrees with the public one run on a table
+        # whose row bounds are raised by the increments
+        k1, n, e = box
+        degrees = [r.degree for r in plan_closure(*box, builtin).rows]
+        for _ in range(6):
+            plan = make_plan(*box, builtin,
+                             {i: rng.choice([0, 0, 1, 2, 3, 5]) for i in degrees})
+            raised = builtin.copy()
+            for r in plan.rows:
+                raised.set(k1 - 1, r.m, BoundEntry(LOWER, r.base + r.increment))
+            expected = [sol for e_prime in range(e + 1)
+                        for sol in feasible_sequences(k1, n, e_prime, raised)]
+            assert plan.survivors() == expected, plan.increments()
+
     def test_plan_closure_certifies(self, builtin):
         for (k1, n, e) in [(8, 25, 65), (7, 16, 23), (6, 13, 17)]:
             plan = plan_closure(k1, n, e, builtin)

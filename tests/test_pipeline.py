@@ -291,6 +291,22 @@ class TestManifest:
         assert cli.main(["extend", "--manifest", path, "--out", out]) == 2
         assert not os.path.exists(out)
 
+    def test_plan_leaving_a_survivor(self, tmp_path, capsys):
+        # one increment too few: the degree-3 row then covers only the
+        # 2-edge hosts, and the run would glue 2 of the class's 3 graphs
+        Bootstrap(str(tmp_path / "bs")).store(4, 8, 12)
+        path = str(tmp_path / "bs" / "c4_n8_e12.g6.manifest")
+        lines = read_lines(path)
+        assert "plan=3,4,2,2,3" in lines
+        write_lines(path, [line.replace("plan=3,4,2,2,3", "plan=3,4,2,1,2")
+                           for line in lines])
+        out = str(tmp_path / "x.g6")
+        assert cli.main(["extend", "--manifest", path, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"manifest error: {path}: plan leaves degree sequences uncovered: "
+            "[n3=8 | e=12, slack=0]\n")
+        assert not os.path.exists(out) and not os.path.exists(out + ".parts")
+
     def test_closure_plan_checks_its_rows(self):
         low, high = PlanRow(1, 3, 2, 1, 2), PlanRow(2, 2, 1, 0, 0)
         plan = ClosurePlan(3, 5, 5, [high, low])
