@@ -49,6 +49,8 @@ def _load_table(path: str | None, max_level: int = 10) -> EdgeBoundTable:
 
 
 def cmd_etable(args) -> int:
+    if args.n_from > args.n_to:
+        raise ValueError(f"--n-from {args.n_from} is above --n-to {args.n_to}")
     table = _load_table(args.seed, max_level=min(args.k, 10))
     top = max([lv for lv in table.levels() if lv >= 1], default=1)
     if args.k > top:

@@ -10,6 +10,10 @@ where B(k-1, m) is any valid lower bound on the minimum edge count of the
 sum n_i = n and sum i*n_i = 2e) yields minimum-edge lower bounds, closure
 certificates for the extension pipeline, and, where no solution exists at
 any edge count, upper bounds on the Ramsey numbers R(3,k).
+
+One search, ``_sequences``, solves the system for all three.  It cuts by
+the LP relaxation, v*L(s/v) for v vertices of degree sum s with L the lower
+convex hull of the points (i, cost_i), which no integer solution beats.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ EXACT = "exact"
 LOWER = "lower"
 INFINITE = "infinite"
 
-_INF_SENTINEL = 1 << 60
 PLAN_MAX_ROUNDS = 10000  # greedy increment rounds before plan_closure gives up
 
 
@@ -230,6 +233,8 @@ def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo=0, d_hi=None):
         raise ValueError(f"negative degree floor {d_lo}")
     if d_hi > k - 1:
         raise ValueError(f"degree cap {d_hi} exceeds k-1={k - 1}")
+    if d_lo > d_hi:
+        raise ValueError(f"degree floor {d_lo} is above the degree cap {d_hi}")
     costs = {}
     for i in range(d_lo, d_hi + 1):
         m = n - i - 1
@@ -254,90 +259,95 @@ def feasible_sequences(
     in lexicographic order of the count vector over ascending degrees."""
     if e < 0:
         raise ValueError(f"negative edge count {e}")
-    return _sequences(n, e, _degree_costs(k, n, table, d_lo, d_hi))
+    return _sequences(n, (e,), _degree_costs(k, n, table, d_lo, d_hi))
 
 
-def _sequences(n: int, e: int, costs: dict) -> list:
-    """The solutions at exactly e edges of the system whose degree-i vertices
-    cost ``costs[i]``, in the order ``feasible_sequences`` documents."""
+def _hull_lines(points: list) -> list:
+    """(x, y, dx, dy) for each side of the region on or above the lower
+    convex hull of ``points`` (given by ascending x) and between their
+    least and greatest x: (X, Y) lies in it when (Y - y)*dx >= (X - x)*dy
+    for every side."""
+    hull = []
+    for x, y in points:
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+            hull.pop()
+        hull.append((x, y))
+    segments = [(x, y, x1 - x, y1 - y) for (x, y), (x1, y1) in zip(hull, hull[1:])]
+    return [(hull[0][0], 0, 0, -1), (hull[-1][0], 0, 0, 1)] + (
+        segments or [(*hull[0], 1, 0)])
+
+
+def _sequences(n: int, edges, costs: dict, first: bool = False) -> list:
+    """The solutions at each e in ``edges`` of the system whose degree-i
+    vertices cost ``costs[i]``, by e and then in the order
+    ``feasible_sequences`` documents; with ``first``, the first one only.
+
+    Counts are fixed from the largest degree down.  A count is tried only
+    if the degrees after it can take the v vertices and degree sum s left
+    within the budget n*e in the LP relaxation: s in [v*min, v*max] and
+    spent + v*L(s/v) <= n*e, L the lower convex hull of their points
+    (i, costs[i]).  No integer solution costs less than its relaxation, so
+    none is lost; each hull side is linear in the count, so the passing
+    counts are one interval.
+    """
     order = sorted(costs, reverse=True)
-    if not order:
-        return []
-    lo, hi = order[-1], order[0]
-    budget = n * e
-    target_s = 2 * e
-    # cheapest cost among classes from idx onward, for pruning; past the
-    # last class no vertex can be placed
-    suffix_min = [_INF_SENTINEL] * (len(order) + 1)
-    for idx in range(len(order) - 1, -1, -1):
-        suffix_min[idx] = min(costs[order[idx]], suffix_min[idx + 1])
+    # hulls[idx]: the sides of the hull of the degrees after order[idx]
+    hulls = [_hull_lines([(i, costs[i]) for i in reversed(order[idx:])])
+             for idx in range(1, len(order))]
     solutions = []
     counts = {}
 
-    def rec(idx: int, verts_left: int, s_left: int, cost_so_far: int):
-        if cost_so_far + verts_left * suffix_min[idx] > budget:
-            return
-        if idx == len(order):
-            if verts_left == 0 and s_left == 0:
-                vec = tuple((d, counts.get(d, 0)) for d in range(lo, hi + 1))
+    def rec(idx, v, s, spent):
+        i, c = order[idx], costs[order[idx]]
+        if idx == len(order) - 1:  # the rest take degree i
+            if s == v * i and spent + v * c <= budget:
+                counts[i] = v
+                vec = tuple((d, counts.get(d, 0))
+                            for d in range(order[-1], order[0] + 1))
                 solutions.append(DegreeSequenceSolution(
-                    vec, n, e, budget - cost_so_far))
-            return
-        i = order[idx]
-        rest = order[idx + 1:]
-        max_rest_deg = rest[0] if rest else 0
-        min_rest_deg = rest[-1] if rest else 0
-        c = costs[i]
-        hi_cnt = verts_left if i == 0 else min(verts_left, s_left // i)
-        # remaining classes must be able to absorb the leftover degree sum
-        for cnt in range(hi_cnt, -1, -1):
-            s_after = s_left - cnt * i
-            v_after = verts_left - cnt
-            if not rest:
-                if v_after != 0 or s_after != 0:
-                    continue
-            else:
-                if s_after > v_after * max_rest_deg:
-                    break  # leftover degree sum outgrows the remaining classes
-                if s_after < v_after * min_rest_deg:
-                    continue
+                    vec, n, e, budget - spent - v * c))
+                return first
+            return False
+        top, bottom = v, 0
+        for x, y, dx, dy in hulls[idx]:  # each side's test: a + cnt*d <= 0
+            a = (spent + v * y - budget) * dx + (s - v * x) * dy
+            d = (c - y) * dx - (i - x) * dy
+            if d > 0:
+                top = min(top, -a // d)
+            elif d < 0:
+                bottom = max(bottom, -(-a // -d))
+            elif a > 0:
+                return False
+            if top < bottom:
+                return False
+        for cnt in range(top, bottom - 1, -1):
             counts[i] = cnt
-            rec(idx + 1, v_after, s_after, cost_so_far + cnt * c)
-        counts.pop(i, None)
+            if rec(idx + 1, v - cnt, s - cnt * i, spent + cnt * c):
+                return True
+        return False
 
-    rec(0, n, target_s, 0)
-    solutions.sort(key=lambda sol: tuple(c for _, c in sol.counts))
+    for e in edges:
+        budget = n * e
+        if order and rec(0, n, 2 * e, 0):
+            break
+    solutions.sort(key=lambda sol: (sol.e, tuple(c for _, c in sol.counts)))
     return solutions
 
 
 def min_edge_bound(k: int, n: int, table: EdgeBoundTable) -> BoundEntry:
     """Smallest e admitting a solution, or infinite if none exists.
 
-    Scans a dynamic program over (vertices used, degree sum) that carries
-    the minimum achievable cost sum; e = s/2 is feasible exactly when that
-    minimum cost stays within n*e.
+    ``_sequences`` scans e = 0, 1, ... to its first solution; its hull
+    bound cuts no integer solution, so that e is exact, and an e whose LP
+    bound n*L(2e/n) exceeds n*e ends at the first degree's empty interval.
     """
-    import numpy as np  # here, so the pure-Python paths never load it
-
+    if n == 0:
+        return BoundEntry(LOWER, 0, "computed")
     costs = _degree_costs(k, n, table)
-    if not costs or n == 0:
-        if n == 0:
-            return BoundEntry(LOWER, 0, "computed")
-        return BoundEntry(INFINITE, provenance="computed")
-    smax = n * max(costs)
-    f = np.full((n + 1, smax + 1), _INF_SENTINEL, dtype=np.int64)
-    f[0, 0] = 0
-    for i, c in costs.items():
-        if i == 0:
-            for u in range(1, n + 1):
-                np.minimum(f[u], f[u - 1] + c, out=f[u])
-        else:
-            for u in range(1, n + 1):
-                np.minimum(f[u, i:], f[u - 1, :-i] + c, out=f[u, i:])
-    row = f[n]
-    for s in range(0, smax + 1, 2):
-        if 2 * row[s] <= n * s:
-            return BoundEntry(LOWER, s // 2, "computed")
+    found = _sequences(n, range(n * max(costs, default=0) // 2 + 1), costs, first=True)
+    if found:
+        return BoundEntry(LOWER, found[0].e, "computed")
     return BoundEntry(INFINITE, provenance="computed")
 
 
@@ -388,11 +398,17 @@ class ClosurePlan:
         """(degree, ceiling) of each row with a positive increment, in order."""
         return tuple((r.degree, r.ceiling) for r in self.rows if r.increment > 0)
 
-    def survivors(self) -> list:
-        """The solutions at each e' <= e once each row's bound rises by its
-        increment; none certifies the box if a table backs the rows."""
-        costs = {r.degree: r.degree ** 2 + r.base + r.increment for r in self.rows}
-        return [sol for e in range(self.e + 1) for sol in _sequences(self.n, e, costs)]
+    def survivors(self, table: Optional[EdgeBoundTable] = None) -> list:
+        """The solutions at each e' <= e once each row's bound rises to its
+        ceiling + 1; none certifies the box if a table backs the rows.  With
+        ``table``, only the rows with a positive increment, whose ceilings the
+        run reads, are taken from the plan: every other degree the table
+        leaves feasible costs i^2 + its entry, whatever the plan's base."""
+        costs = {r.degree: r.degree ** 2 + r.ceiling + 1 for r in self.rows
+                 if r.increment or table is None}
+        if table is not None:
+            costs = {**_degree_costs(self.k_plus_1, self.n, table), **costs}
+        return _sequences(self.n, range(self.e + 1), costs)
 
     CSV_HEADER = ["degree", "m", "base", "increment", "ceiling"]
 

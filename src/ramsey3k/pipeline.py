@@ -4,8 +4,10 @@ bottom of the hierarchy.
 
 A manifest binds one target class box to per-degree input files and, as its
 certificate, the closure plan proving that those inputs suffice.  The plan
-certifies itself when read; only its bases, taken from a bound table the
-manifest does not name, are trusted.  Each shard glues its hosts and writes
+certifies itself when read: a run reads only the ceilings of its rows with a
+positive increment, and every other degree costs what the bundled published
+table says, whatever the plan's base; above the table's top level the bases
+are trusted.  Each shard glues its hosts and writes
 its own sorted part file, named by the shard and a hash of the task and input
 lines it was computed from; a run deletes every part no current shard names,
 computes only the missing ones and never writes its manifest, so an
@@ -23,6 +25,7 @@ through ``store``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import heapq
 import math
@@ -30,6 +33,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import data
 from .canon import canonical_form
 from .degseq import (
     EXACT,
@@ -37,6 +41,7 @@ from .degseq import (
     BoundEntry,
     ClosurePlan,
     EdgeBoundTable,
+    MissingBoundError,
     PlanRow,
     min_edge_bound,
     plan_closure,
@@ -129,11 +134,11 @@ class JobManifest:
     def read(cls, path: str) -> "JobManifest":
         """Parse a manifest; a missing, malformed or unknown line, an input
         degree outside 0..target_k-1, plan rows ``ClosurePlan`` rejects, that
-        leave a survivor or with a positive increment and no input, or
-        ``plan=`` lines without a ``plan_rows=`` count or other than it says
-        raise ManifestError.  A manifest has a plan, and so is certified,
-        exactly when it has the count: the count tells an empty plan from
-        lost plan lines."""
+        leave a survivor under the bundled table or with a positive increment
+        and no input, or ``plan=`` lines without a ``plan_rows=`` count or
+        other than it says raise ManifestError.  A manifest has a plan, and
+        so is certified, exactly when it has the count: the count tells an
+        empty plan from lost plan lines."""
         fields: dict = {}
         inputs = []
         plan_rows = []
@@ -173,9 +178,12 @@ class JobManifest:
                                             manifest.e_max, plan_rows)
             for degree in sorted(degrees | {0}):
                 manifest.task_for(degree)  # checks the hub degree and edge cap
+            left = manifest.plan.survivors(_published()) if manifest.plan else []
+        except MissingBoundError:  # a level the bundled table lacks is trusted
+            left = manifest.plan.survivors()
         except ValueError as exc:
             raise ManifestError(f"{path}: {exc}") from None
-        if manifest.plan is not None and (left := manifest.plan.survivors()):
+        if left:
             raise ManifestError(
                 f"{path}: plan leaves degree sequences uncovered: {left[0]}")
         lacking = sorted({d for d, _ in manifest.task_for(0).cover} - degrees)
@@ -183,6 +191,10 @@ class JobManifest:
             raise ManifestError(
                 f"{path}: certified plan rows of degree(s) {lacking} have no input")
         return manifest
+
+
+# the bundled table, built once per process and only read
+_published = functools.cache(data.builtin_table)
 
 
 def _run_shard(args) -> None:

@@ -339,6 +339,9 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
     (None, ["degseq", "--k", "5", "--n", "-1", "--e", "3"], 2),
     (None, ["degseq", "--k", "5", "--n", "8", "--e", "-3"], 2),
     (None, ["degseq", "--k", "5", "--n", "10", "--e", "20", "--dmin", "-2"], 2),
+    (None, ["etable", "--k", "5", "--n-from", "9", "--n-to", "3"], 2),
+    (None, ["degseq", "--k", "5", "--n", "10", "--e", "20", "--dmin", "3",
+            "--dmax", "2"], 2),
 ], ids=["verify-bad-line", "verify-total-mismatch", "closure-triangle",
         "closure-mixed-orders",
         "count-bad-line", "count-malformed-meta", "plan-table-gap",
@@ -351,7 +354,8 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
         "closure-non-maximal",
         "etable-k-0", "plan-k-0", "degseq-k-0", "oracle-negative-e-max",
         "plan-negative-n", "plan-negative-e", "degseq-negative-n",
-        "degseq-negative-e", "degseq-dmin-negative"])
+        "degseq-negative-e", "degseq-dmin-negative", "etable-reversed-range",
+        "degseq-reversed-range"])
 def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     # leading NAME=VALUE items are environment settings, as in a shell
     env = list(itertools.takewhile(lambda item: "=" in item, argv))
@@ -402,13 +406,9 @@ def test_closure_of_no_graphs_usage_error(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "c.g6.meta").exists()
 
 
-def test_verify_never_loads_numpy(tmp_path):
-    c5 = _c5_store(tmp_path)
-    ref = str(tmp_path / "k2.g6")
-    GraphStore(2, 2, lines=[canonical_form(Graph.from_edges(2, [(0, 1)]))]
-               ).write(ref)
-    argv = ["verify", "--k", "3", "--store", c5, "--minimality",
-            "--gv", ref, "--add-edges", "1", c5]
+def _numpy_after(argv):
+    """The stdout of ``main(argv)`` in a fresh interpreter, ending in the
+    line "<exit code> <numpy imported>", and its stderr."""
     code = ("import sys\n"
             "from ramsey3k.cli import main\n"
             f"code = main({argv!r})\n"
@@ -417,4 +417,28 @@ def test_verify_never_loads_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
-    assert result.stdout == "0 False\n", result.stdout + result.stderr
+    return result.stdout, result.stderr
+
+
+def test_verify_never_loads_numpy(tmp_path):
+    c5 = _c5_store(tmp_path)
+    ref = str(tmp_path / "k2.g6")
+    GraphStore(2, 2, lines=[canonical_form(Graph.from_edges(2, [(0, 1)]))]
+               ).write(ref)
+    argv = ["verify", "--k", "3", "--store", c5, "--minimality",
+            "--gv", ref, "--add-edges", "1", c5]
+    out, err = _numpy_after(argv)
+    assert out == "0 False\n", out + err
+
+
+@pytest.mark.parametrize("argv", [
+    ["etable", "--k", "12", "--n-from", "50", "--n-to", "59"],
+    ["plan", "--k", "7", "--n", "16", "--e", "23"],
+    ["degseq", "--k", "10", "--n", "42", "--e", "189", "--dmin", "7",
+     "--dmax", "9"],
+], ids=["etable", "plan", "degseq"])
+def test_bound_commands_never_load_numpy(argv):
+    # the degree-sequence solver is pure Python; etable --k 12 propagates
+    # level 11 and 12 through it
+    out, err = _numpy_after(argv)
+    assert out.splitlines()[-1:] == ["0 False"], out + err

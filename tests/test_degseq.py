@@ -1,7 +1,8 @@
+import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramsey3k import data
 from ramsey3k.degseq import (
@@ -14,7 +15,9 @@ from ramsey3k.degseq import (
     InfiniteBoundError,
     MissingBoundError,
     PlanRow,
+    _degree_costs,
     _fill_closed_level,
+    _sequences,
     _survivors,
     closed_form_e,
     closure_sufficiency_check,
@@ -163,6 +166,21 @@ class TestSolver:
         with pytest.raises(MissingBoundError):
             feasible_sequences(5, 9, 7, t)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(0, 5), st.integers(0, 60), min_size=1),
+           st.integers(0, 8), st.integers(0, 20))
+    @example({0: 0, 1: 30, 2: 4, 3: 50, 4: 16}, 6, 12)  # 1 and 3 off the hull
+    def test_sequences_match_naive(self, costs, n, e):
+        # random costs are mostly not convex in the degree, so the LP hull
+        # drops some of the degrees' points
+        hi = n * max(costs) // 2
+        got = [tuple(c for _, c in sol.counts) for sol in _sequences(n, (e,), costs)]
+        assert got == naive_sequences(None, n, e, costs, set(costs))
+        first = _sequences(n, range(hi + 1), costs, first=True)
+        want = next((e for e in range(hi + 1)
+                     if naive_sequences(None, n, e, costs, set(costs))), None)
+        assert [sol.e for sol in first] == ([] if want is None else [want])
+
     def test_parity_and_sums(self, builtin):
         for sol in feasible_sequences(8, 25, 65, builtin):
             total = sum(c for _, c in sol.counts)
@@ -188,6 +206,21 @@ class TestMinEdgeBound:
             assert feasible_sequences(k, n, b.value, table), (k, n)
             for e in range(max(0, b.value - 4), b.value):
                 assert not feasible_sequences(k, n, e, table), (k, n, e)
+
+    def test_matches_naive_first_edge_count(self, builtin):
+        # every order of levels 3..6 up to R(3,k), against the first e at
+        # which the brute-force filter has a solution
+        for k in range(3, 7):
+            for n in range(1, builtin.first_infinite(k) + 1):
+                costs = _degree_costs(k, n, builtin)
+                first = next((e for e in range(n * max(costs) // 2 + 1)
+                              if naive_sequences(k, n, e, costs, set(costs))),
+                             None) if costs else None
+                got = min_edge_bound(k, n, builtin)
+                if first is None:
+                    assert got.kind == INFINITE, (k, n)
+                else:
+                    assert got == BoundEntry(LOWER, first, "computed"), (k, n)
 
     def test_weaker_table_never_raises_bound(self, builtin):
         weak = builtin.copy()
@@ -366,6 +399,12 @@ class TestPropagation:
             for (kk, nn), entry in propagated.entries.items():
                 if kk == k and nn > first:
                     assert entry.kind == INFINITE
+
+    def test_propagated_table_is_pinned(self, propagated):
+        # levels 11..16 as propagated over the bundled table, with
+        # R(3,11..16) <= 50, 59, 68, 77, 87, 98
+        assert hashlib.sha256(propagated.to_csv().encode()).hexdigest() == (
+            "7c2b0597d63d3d8d3264073baadb4108fa76d9c44f5b4c8565d0a4741a0be316")
 
     def test_unknown_marker(self):
         t = EdgeBoundTable()

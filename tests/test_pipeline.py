@@ -7,7 +7,7 @@ import pytest
 
 from ramsey3k import cli, data, extend, pipeline
 from ramsey3k.canon import canonical_form
-from ramsey3k.degseq import EXACT, INFINITE, ClosurePlan, PlanRow, plan_closure
+from ramsey3k.degseq import EXACT, INFINITE, LOWER, ClosurePlan, PlanRow, plan_closure
 from ramsey3k.graphs import Graph, GraphFormatError, encode_graph6
 from ramsey3k.oracle import brute_force_graphs
 from ramsey3k.pipeline import (
@@ -307,6 +307,54 @@ class TestManifest:
             "[n3=8 | e=12, slack=0]\n")
         assert not os.path.exists(out) and not os.path.exists(out + ".parts")
 
+    def test_plan_without_a_published_degree(self, tmp_path, capsys):
+        # C5 is a (3,3;5,<=5)-graph: a degree the plan has no row for costs
+        # i^2 plus its published entry, 4 + e(3,2,2) for degree 2, and C5's
+        # degree sequence survives
+        path = tmp_path / "job.manifest"
+        path.write_text("target_k=3\nn=5\ne_max=5\nplan_rows=0\n")
+        out = str(tmp_path / "x.g6")
+        assert cli.main(["extend", "--manifest", str(path), "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"manifest error: {path}: plan leaves degree sequences uncovered: "
+            "[n2=5 | e=5, slack=0]\n")
+        assert not os.path.exists(out) and not os.path.exists(out + ".parts")
+        # the bundled table stops at level 10, so a level-11 plan is trusted
+        path.write_text("target_k=12\nn=3\ne_max=0\nplan_rows=0\n")
+        assert JobManifest.read(str(path)).plan.rows == ()
+
+    def test_plan_base_read_only_through_a_ceiling(self, tmp_path):
+        # a run glues every host up to a row's ceiling, so with increment 1
+        # a base of 3 (above the published e(3,3,4)=2) keeps ceiling 3 and
+        # the run still glues all 3 graphs of the class
+        Bootstrap(str(tmp_path / "bs")).store(4, 8, 12)
+        path = str(tmp_path / "bs" / "c4_n8_e12.g6.manifest")
+        lines = read_lines(path)
+        assert "plan=3,4,2,2,3" in lines
+        write_lines(path, [line.replace("plan=3,4,2,2,3", "plan=3,4,3,1,3")
+                           for line in lines])
+        assert run_manifest(path, str(tmp_path / "x.g6"), workers=1).forms() == (
+            GraphStore.read(str(tmp_path / "bs" / "c4_n8_e12.g6")).forms())
+
+    def test_plan_base_above_a_published_lower_bound(self, tmp_path, capsys):
+        # e(3,10,38) >= 139 is published as a lower bound only; a degree-10
+        # row at increment 0 claiming 140 would certify the (3,11;49,<=237)
+        # box with no input, but it costs 139 like the degrees without rows
+        table = data.builtin_table()
+        assert table.entry(10, 38).kind == LOWER
+        rows = [PlanRow(i, 48 - i, table.bound_value(10, 48 - i), 0,
+                        table.bound_value(10, 48 - i) - 1) for i in range(7, 10)]
+        plan = ClosurePlan(11, 49, 237, rows + [PlanRow(10, 38, 140, 0, 139)])
+        assert plan.survivors() == [] and plan.survivors(table)
+        path = str(tmp_path / "job.manifest")
+        JobManifest(target_k=11, n=49, e_max=237, plan=plan).write(path)
+        out = str(tmp_path / "x.g6")
+        assert cli.main(["extend", "--manifest", path, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"manifest error: {path}: plan leaves degree sequences uncovered: "
+            "[n9=16, n10=33 | e=237, slack=14]\n")
+        assert not os.path.exists(out) and not os.path.exists(out + ".parts")
+
     def test_closure_plan_checks_its_rows(self):
         low, high = PlanRow(1, 3, 2, 1, 2), PlanRow(2, 2, 1, 0, 0)
         plan = ClosurePlan(3, 5, 5, [high, low])
@@ -321,10 +369,12 @@ class TestManifest:
             ClosurePlan(3, 5, 5, [low, high, PlanRow(1, 3, 2, 0, 1)])
 
     def test_input_of_wrong_order(self, tmp_path):
+        # the certified (3;5,<=5) plan glues K2 at a degree-2 hub; a
+        # degree-1 hub needs hosts of order 3
         k2 = write_inputs(tmp_path, "k2.g6", [Graph.from_edges(2, [(0, 1)])])
         path = str(tmp_path / "job.manifest")
-        JobManifest(target_k=3, n=5, e_max=5, inputs=[(1, k2)],
-                    plan=ClosurePlan(3, 5, 5)).write(path)
+        JobManifest(target_k=3, n=5, e_max=5, inputs=[(1, k2), (2, k2)],
+                    plan=ClosurePlan(3, 5, 5, [PlanRow(2, 2, 1, 1, 1)])).write(path)
         out = str(tmp_path / "x.g6")
         with pytest.raises(ManifestError, match="A_ has order 2"):
             run_manifest(path, out, workers=1)
