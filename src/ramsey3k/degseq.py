@@ -8,8 +8,9 @@ and n_i vertices of degree i satisfies
 where B(k-1, m) is any valid lower bound on the minimum edge count of the
 (3,k-1;m) class.  Enumerating the integer solutions of this system (plus
 sum n_i = n and sum i*n_i = 2e) yields minimum-edge lower bounds, closure
-certificates for the extension pipeline, and, where no solution exists at
-any edge count, upper bounds on the Ramsey numbers R(3,k).
+certificates for the extension pipeline (``ClosurePlan.survivors``, with B
+raised to max(B, ceiling + 1) at each degree a row covers), and, where no
+solution exists at any edge count, upper bounds on the Ramsey numbers R(3,k).
 
 One search, ``_sequences``, solves the system for all three.  It cuts by
 the LP relaxation, v*L(s/v) for v vertices of degree sum s with L the lower
@@ -291,6 +292,8 @@ def _sequences(n: int, edges, costs: dict, first: bool = False) -> list:
     none is lost; each hull side is linear in the count, so the passing
     counts are one interval.
     """
+    if not costs:  # no open degree: only the vertexless graph solves it
+        return [DegreeSequenceSolution((), 0, 0, 0)] if n == 0 and 0 in edges else []
     order = sorted(costs, reverse=True)
     # hulls[idx]: the sides of the hull of the degrees after order[idx]
     hulls = [_hull_lines([(i, costs[i]) for i in reversed(order[idx:])])
@@ -329,7 +332,7 @@ def _sequences(n: int, edges, costs: dict, first: bool = False) -> list:
 
     for e in edges:
         budget = n * e
-        if order and rec(0, n, 2 * e, 0):
+        if rec(0, n, 2 * e, 0):
             break
     solutions.sort(key=lambda sol: (sol.e, tuple(c for _, c in sol.counts)))
     return solutions
@@ -342,8 +345,6 @@ def min_edge_bound(k: int, n: int, table: EdgeBoundTable) -> BoundEntry:
     bound cuts no integer solution, so that e is exact, and an e whose LP
     bound n*L(2e/n) exceeds n*e ends at the first degree's empty interval.
     """
-    if n == 0:
-        return BoundEntry(LOWER, 0, "computed")
     costs = _degree_costs(k, n, table)
     found = _sequences(n, range(n * max(costs, default=0) // 2 + 1), costs, first=True)
     if found:
@@ -399,15 +400,16 @@ class ClosurePlan:
         return tuple((r.degree, r.ceiling) for r in self.rows if r.increment > 0)
 
     def survivors(self, table: Optional[EdgeBoundTable] = None) -> list:
-        """The solutions at each e' <= e once each row's bound rises to its
-        ceiling + 1; none certifies the box if a table backs the rows.  With
-        ``table``, only the rows with a positive increment, whose ceilings the
-        run reads, are taken from the plan: every other degree the table
-        leaves feasible costs i^2 + its entry, whatever the plan's base."""
-        costs = {r.degree: r.degree ** 2 + r.ceiling + 1 for r in self.rows
-                 if r.increment or table is None}
-        if table is not None:
-            costs = {**_degree_costs(self.k_plus_1, self.n, table), **costs}
+        """The solutions at each e' <= e when a degree-i vertex costs
+        i^2 + max(b_i, c_i + 1); none certifies the box.  b_i is ``table``'s
+        bound for each degree it leaves feasible, or without a table the row's
+        base, only the rows' degrees counting; c_i is the ceiling of a row
+        with a positive increment, which the run reads, else -1."""
+        costs = ({r.degree: r.degree ** 2 + r.base for r in self.rows} if table is None
+                 else _degree_costs(self.k_plus_1, self.n, table))
+        for i, ceiling in self.cover():
+            if i in costs:
+                costs[i] = max(costs[i], i * i + ceiling + 1)
         return _sequences(self.n, range(self.e + 1), costs)
 
     CSV_HEADER = ["degree", "m", "base", "increment", "ceiling"]
@@ -427,13 +429,6 @@ class ClosureCheck:
     survivors: list
 
 
-def _feasible_rows(k_plus_1: int, n: int, table: EdgeBoundTable) -> list:
-    """(degree i, m = n-i-1, e(3,k,m)) for every degree whose local
-    subgraph order has a finite edge bound."""
-    return [(i, n - i - 1, c - i * i)
-            for i, c in _degree_costs(k_plus_1, n, table).items()]
-
-
 def closure_sufficiency_check(
     k_plus_1: int,
     n: int,
@@ -445,9 +440,9 @@ def closure_sufficiency_check(
     (3,k_plus_1;n,<=e)-graph.
 
     A graph missed by the plan would have, at every vertex of degree i, a
-    local subgraph with at least base_i + t_i edges; its degree sequence
-    would then be one of ``plan.survivors()``.  The table checks the plan's
-    box and its bases, one per degree the table leaves feasible.
+    local subgraph with at least max(b_i, c_i + 1) edges (see
+    ``ClosurePlan.survivors``), so its degree sequence would be one of
+    ``plan.survivors(table)``.  A plan for another box raises ValueError.
     """
     if e < 0:
         raise ValueError(f"negative edge cap {e}")
@@ -455,11 +450,7 @@ def closure_sufficiency_check(
                             ("order", plan.n, n), ("edge cap", plan.e, e)):
         if got != want:
             raise ValueError(f"plan is for {name} {got}, not {want}")
-    bases = {r.degree: r.base for r in plan.rows}
-    table_bases = {i: base for i, _, base in _feasible_rows(k_plus_1, n, table)}
-    if bases != table_bases:
-        raise ValueError(f"plan bases {bases} differ from the table's {table_bases}")
-    survivors = plan.survivors()
+    survivors = plan.survivors(table)
     return ClosureCheck(not survivors, survivors)
 
 
@@ -498,22 +489,19 @@ def plan_closure(
     sequences, so an increment that could not drop when visited cannot drop
     later either: no single increment of the result can drop by one.
 
-    The plan certifies itself: both phases filter the zero plan's
-    ``survivors()`` (``_survivors``), and ``closure_sufficiency_check``
-    checks it against the table.  Raises RuntimeError if no plan certifies.
+    The greedy phase only raises increments, so each round filters the
+    last round's survivors; reverse delete filters all the zero plan's
+    (``_survivors``).  ``closure_sufficiency_check`` certifies the result.
+    Raises RuntimeError if no plan certifies.
     """
-    feasible = _feasible_rows(k_plus_1, n, table)
-    t = {i: 0 for i, _, _ in feasible}
+    costs = _degree_costs(k_plus_1, n, table)
+    t = dict.fromkeys(costs, 0)
     avg = 2.0 * e / n if n else 0.0
+    sequences = [(sol.slack, sol.nonzero())
+                 for sol in _sequences(n, range(e + 1), costs)]
 
-    def build_plan():
-        return ClosurePlan(k_plus_1, n, e, tuple(
-            PlanRow(i, m, base, t[i], base + t[i] - 1) for i, m, base in feasible))
-
-    sequences = [(sol.slack, sol.nonzero()) for sol in build_plan().survivors()]
-
+    alive = sequences
     for _ in range(PLAN_MAX_ROUNDS):
-        alive = _survivors(sequences, t)
         if not alive:
             break
         killed, mass = dict.fromkeys(t, 0), dict.fromkeys(t, 0)
@@ -523,7 +511,7 @@ def plan_closure(
                 if slack < c:
                     killed[i] += 1
         best = None
-        for i, _, _ in feasible:
+        for i in costs:
             if mass[i] == 0:
                 continue
             marginal = 20.0 ** (t[i] + 1) - (20.0 ** t[i] if t[i] else 0.0)
@@ -533,7 +521,10 @@ def plan_closure(
                 best = (key, i)
         if best is None:
             raise RuntimeError("no finite plan: survivors use no positive count")
-        t[best[1]] += 1
+        i = best[1]
+        t[i] += 1
+        alive = [(slack - counts.get(i, 0), counts) for slack, counts in alive
+                 if slack >= counts.get(i, 0)]
     else:
         raise RuntimeError(f"no certified plan within {PLAN_MAX_ROUNDS} rounds")
 
@@ -544,7 +535,9 @@ def plan_closure(
             if _survivors(sequences, t):
                 t[i] += 1
                 break
-    plan = build_plan()
+    plan = ClosurePlan(k_plus_1, n, e, tuple(
+        PlanRow(i, n - i - 1, c - i * i, t[i], c - i * i + t[i] - 1)
+        for i, c in costs.items()))
     if not closure_sufficiency_check(k_plus_1, n, e, plan, table).certified:
         raise RuntimeError(f"plan for ({k_plus_1};{n},<={e}) does not certify")
     return plan

@@ -4,10 +4,10 @@ bottom of the hierarchy.
 
 A manifest binds one target class box to per-degree input files and, as its
 certificate, the closure plan proving that those inputs suffice.  The plan
-certifies itself when read: a run reads only the ceilings of its rows with a
-positive increment, and every other degree costs what the bundled published
-table says, whatever the plan's base; above the table's top level the bases
-are trusted.  Each shard glues its hosts and writes
+certifies itself when read: each degree the bundled published table leaves
+feasible costs the larger of its entry and, for a row with a positive
+increment, the row's ceiling + 1, whatever the plan's bases say; above the
+table's top level the bases are trusted.  Each shard glues its hosts and writes
 its own sorted part file, named by the shard and a hash of the task and input
 lines it was computed from; a run deletes every part no current shard names,
 computes only the missing ones and never writes its manifest, so an
@@ -143,7 +143,11 @@ class JobManifest:
         inputs = []
         plan_rows = []
         row_count = None
-        for key, value in read_records(path):
+        try:
+            records = read_records(path)
+        except StoreError as exc:
+            raise ManifestError(str(exc)) from None
+        for key, value in records:
             if key not in _SCALARS and key not in ("input", "plan", "plan_rows"):
                 raise ManifestError(f"{path}: unknown key {key!r}")
             try:

@@ -54,10 +54,12 @@ def read_lines(path: str) -> list:
 
 def read_records(path: str) -> list:
     """The ``(key, value)`` pairs of a key=value file, in order; ``#``
-    lines and lines without ``=`` are skipped."""
-    return [tuple(part.strip() for part in line.split("=", 1))
-            for line in read_lines(path)
-            if not line.startswith("#") and "=" in line]
+    lines are skipped, and any other line without ``=`` raises StoreError."""
+    lines = [line for line in read_lines(path) if not line.startswith("#")]
+    bad = next((line for line in lines if "=" not in line), None)
+    if bad is not None:
+        raise StoreError(f"{path}: line {bad!r} is not key=value")
+    return [tuple(part.strip() for part in line.split("=", 1)) for line in lines]
 
 
 class GraphStore:

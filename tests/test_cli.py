@@ -66,6 +66,14 @@ def test_degseq_listing(capsys):
     assert "n9=42" in out
 
 
+def test_degseq_empty_graph(capsys):
+    # the vertexless graph is the one solution of the n = 0 system
+    assert main(["degseq", "--k", "3", "--n", "0", "--e", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "[empty | e=0, slack=0]\n"
+    assert captured.err == "# 1 solutions\n"
+
+
 def test_plan_certifies(tmp_path, capsys):
     out = str(tmp_path / "plan.csv")
     assert main(["plan", "--k", "8", "--n", "25", "--e", "65",
@@ -207,13 +215,19 @@ UNCERTIFIED = "target_k=3\nn=5\ne_max=5\n"
     (UNCERTIFIED + "plan_rows=x\n", "plan_rows"),
     (UNCERTIFIED + "plan_rows=2\nplan=2,2,1,0,0\nplan=2,2,1,0,0\n",
      "repeats row(s) of degree(s) [2]"),
+    (BOX + "no_prune canonical\n", "line 'no_prune canonical' is not key=value"),
+    (BOX + "garbage\n", "line 'garbage' is not key=value"),
+    # the empty graph is a (3,3;0)-member, which no plan covers
+    ("target_k=3\nn=0\ne_max=0\nplan_rows=0\n",
+     "uncovered: [empty | e=0, slack=0]"),
 ], ids=["missing-key", "not-an-integer", "malformed-input", "malformed-plan",
         "unknown-key-done", "unknown-key-regular", "unknown-key-shard-size",
         "uncertified", "unknown-key-certified", "unknown-key-d-min",
         "unknown-key-delta-max", "input-degree-negative",
         "input-degree-above-k", "negative-e-max", "certified-no-plan",
         "certified-plan-no-count", "count-above-rows", "count-below-rows",
-        "uncertified-count-mismatch", "malformed-count", "plan-degree-repeated"])
+        "uncertified-count-mismatch", "malformed-count", "plan-degree-repeated",
+        "line-without-equals", "garbage-line", "empty-graph-uncovered"])
 def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
     manifest = tmp_path / "m.manifest"
     manifest.write_text(text)
@@ -250,6 +264,13 @@ def _store_with_malformed_meta(tmp_path):
     meta = open(path + ".meta").read().replace("total=2", "total=x")
     with open(path + ".meta", "w") as fh:
         fh.write(meta)
+    return path
+
+
+def _store_with_meta_line_without_equals(tmp_path):
+    path = _c5_store(tmp_path)
+    with open(path + ".meta", "a") as fh:
+        fh.write("complete 1\n")
     return path
 
 
@@ -298,6 +319,7 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
     (_mtf_mixed_orders, ["closure", "--k", "3", "--out", "o.g6", "--mtf"], 2),
     (_store_with_bad_line, ["count", "--store"], 2),
     (_store_with_malformed_meta, ["count", "--store"], 1),
+    (_store_with_meta_line_without_equals, ["count", "--store"], 1),
     (None, ["plan"] + TABLE_GAP, 2),
     (None, ["degseq"] + TABLE_GAP, 2),
     (None, ["degseq", "--k", "5", "--n", "10", "--e", "20", "--dmax", "9"], 2),
@@ -340,11 +362,14 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
     (None, ["degseq", "--k", "5", "--n", "8", "--e", "-3"], 2),
     (None, ["degseq", "--k", "5", "--n", "10", "--e", "20", "--dmin", "-2"], 2),
     (None, ["etable", "--k", "5", "--n-from", "9", "--n-to", "3"], 2),
+    # the empty graph solves the n = 0 system, and no input row covers it
+    (None, ["plan", "--k", "3", "--n", "0", "--e", "0"], 1),
     (None, ["degseq", "--k", "5", "--n", "10", "--e", "20", "--dmin", "3",
             "--dmax", "2"], 2),
 ], ids=["verify-bad-line", "verify-total-mismatch", "closure-triangle",
         "closure-mixed-orders",
-        "count-bad-line", "count-malformed-meta", "plan-table-gap",
+        "count-bad-line", "count-malformed-meta", "count-meta-line-without-equals",
+        "plan-table-gap",
         "degseq-table-gap", "degseq-dmax-above-window", "oracle-k-below-2",
         "oracle-negative-n", "workers-env-not-an-integer", "workers-env-0",
         "workers-env-negative", "workers-0", "workers-negative", "verify-k-0",
@@ -355,7 +380,7 @@ TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
         "etable-k-0", "plan-k-0", "degseq-k-0", "oracle-negative-e-max",
         "plan-negative-n", "plan-negative-e", "degseq-negative-n",
         "degseq-negative-e", "degseq-dmin-negative", "etable-reversed-range",
-        "degseq-reversed-range"])
+        "plan-empty-graph", "degseq-reversed-range"])
 def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     # leading NAME=VALUE items are environment settings, as in a shell
     env = list(itertools.takewhile(lambda item: "=" in item, argv))

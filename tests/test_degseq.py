@@ -187,6 +187,17 @@ class TestSolver:
             degsum = sum(d * c for d, c in sol.counts)
             assert total == 25 and degsum == 2 * sol.e and sol.slack >= 0
 
+    def test_empty_system_has_the_empty_solution(self, builtin):
+        # at n = 0 no degree is open, and the vertexless graph solves the
+        # system at e = 0 only
+        sols = feasible_sequences(3, 0, 0, builtin)
+        assert [str(sol) for sol in sols] == ["[empty | e=0, slack=0]"]
+        assert feasible_sequences(3, 0, 1, builtin) == []
+        assert min_edge_bound(3, 0, builtin) == BoundEntry(LOWER, 0, "computed")
+        assert ClosurePlan(3, 0, 0).survivors(builtin) == sols
+        with pytest.raises(RuntimeError, match="no finite plan"):
+            plan_closure(3, 0, 0, builtin)
+
 
 class TestMinEdgeBound:
     def test_published_points(self, builtin, propagated):
@@ -264,10 +275,18 @@ class TestClosure:
         assert check.survivors[0].nonzero() == {6: 8, 7: 24}
         assert check.survivors[0].e == 108
 
-    def test_plan_gap_is_error(self, builtin):
-        plan = make_plan(8, 25, 65, builtin, {2: 1, 3: 1, 4: 2, 5: 3, 6: 2})
-        with pytest.raises(ValueError):
-            closure_sufficiency_check(8, 25, 65, plan, builtin)
+    def test_plan_gap_costs_the_table_entry(self, builtin, rng):
+        # a degree without a row costs its table entry, as an increment-0
+        # row of that degree does, so dropping such a row changes nothing
+        plan = plan_closure(8, 25, 65, builtin)
+        assert plan.increments()[7] == 0
+        gap = ClosurePlan(8, 25, 65, [r for r in plan.rows if r.degree != 7])
+        assert closure_sufficiency_check(8, 25, 65, gap, builtin).certified
+        for _ in range(6):
+            t = {i: rng.choice([0, 0, 1, 2, 3]) for i in range(2, 7)}
+            with_row = make_plan(8, 25, 65, builtin, {**t, 7: 0})
+            without = make_plan(8, 25, 65, builtin, t)
+            assert without.survivors(builtin) == with_row.survivors(builtin), t
 
     def test_plan_of_another_order_is_error(self, builtin):
         plan = make_plan(8, 25, 65, builtin, {2: 1, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1})
@@ -281,28 +300,49 @@ class TestClosure:
         with pytest.raises(ValueError, match="class 8, not 9"):
             closure_sufficiency_check(9, 25, 65, plan, builtin)
 
-    def test_plan_row_the_table_rules_out_is_error(self, builtin):
+    def test_plan_row_the_table_rules_out_is_ignored(self, builtin):
         # e(3,7,23) is infinite, so no (8;25)-graph has a vertex of degree 1
+        # and a degree-1 row leaves no survivor of its own
         plan = make_plan(8, 25, 65, builtin, {2: 1, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1})
         odd = ClosurePlan(8, 25, 65, plan.rows + (PlanRow(1, 23, 0, 1, 0),))
-        with pytest.raises(ValueError, match="bases"):
-            closure_sufficiency_check(8, 25, 65, odd, builtin)
+        assert odd.survivors(builtin) == plan.survivors(builtin) == []
+        assert closure_sufficiency_check(8, 25, 65, odd, builtin).certified
 
     @pytest.mark.parametrize("box", [(7, 16, 23), (8, 25, 65), (9, 27, 61)])
     def test_survivors_match_feasible_sequences(self, builtin, rng, box):
         # the plan's own solver agrees with the public one run on a table
-        # whose row bounds are raised by the increments
+        # whose covered rows are raised to max(entry, ceiling + 1), whatever
+        # the bases: here they lie up to five edges below the entry or two
+        # above it, so that some ceilings lie below it, and a row of a
+        # degree the table rules out counts for nothing
         k1, n, e = box
+
+        def expected(plan):
+            raised = builtin.copy()
+            for i, ceiling in plan.cover():
+                entry = builtin.entry(k1 - 1, n - i - 1)
+                if entry.kind != INFINITE:
+                    raised.set(k1 - 1, n - i - 1, BoundEntry(
+                        LOWER, max(entry.value, ceiling + 1)))
+            return [sol for e_prime in range(e + 1)
+                    for sol in feasible_sequences(k1, n, e_prime, raised)]
+
         degrees = [r.degree for r in plan_closure(*box, builtin).rows]
         for _ in range(6):
-            plan = make_plan(*box, builtin,
-                             {i: rng.choice([0, 0, 1, 2, 3, 5]) for i in degrees})
-            raised = builtin.copy()
-            for r in plan.rows:
-                raised.set(k1 - 1, r.m, BoundEntry(LOWER, r.base + r.increment))
-            expected = [sol for e_prime in range(e + 1)
-                        for sol in feasible_sequences(k1, n, e_prime, raised)]
-            assert plan.survivors() == expected, plan.increments()
+            t = {i: rng.choice([0, 0, 1, 2, 3, 5]) for i in range(k1)}
+            # bases that are the table's entries need no table
+            exact = make_plan(*box, builtin, {i: t[i] for i in degrees})
+            assert exact.survivors() == exact.survivors(builtin) == expected(
+                exact), t
+            rows = []
+            for i in range(k1):
+                entry = builtin.entry(k1 - 1, n - i - 1)
+                base = (max(0, entry.value + rng.randint(-5, 2))
+                        if entry.kind != INFINITE else 2)
+                if rng.random() < 0.8:
+                    rows.append(PlanRow(i, n - i - 1, base, t[i], base + t[i] - 1))
+            plan = ClosurePlan(k1, n, e, rows)
+            assert plan.survivors(builtin) == expected(plan), plan.rows
 
     def test_plan_closure_certifies(self, builtin):
         for (k1, n, e) in [(8, 25, 65), (7, 16, 23), (6, 13, 17)]:
@@ -365,6 +405,16 @@ class TestClosure:
                     **plan.increments(), row.degree: row.increment - 1})
                 assert not closure_sufficiency_check(
                     *box, smaller, builtin).certified, (box, row.degree)
+
+    def test_plans_are_pinned(self, builtin):
+        # the 20 b-flagged grid boxes, then (10;30,<=66) and (10;31,<=73)
+        grid = data.small_exact_table()
+        boxes = [(k, n, grid.entry(k, n).value)
+                 for (k, n), flag in sorted(data.small_exact_flags().items())
+                 if flag == "b"] + [(10, 30, 66), (10, 31, 73)]
+        text = "".join(plan_closure(*box, builtin).to_csv() for box in boxes)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "47028a48eb6252e01d06750bcd8a6a91a45cc9e56ca49baa9440b286baf0e440")
 
 
 class TestPropagation:

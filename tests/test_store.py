@@ -167,9 +167,14 @@ class TestLineFiles:
 
     def test_read_records(self, tmp_path):
         path = str(tmp_path / "f")
-        write_lines(path, ["# note=x", "k = 4", "", "  junk  ", "a=b=c"])
-        assert read_lines(path) == ["# note=x", "k = 4", "junk", "a=b=c"]
+        write_lines(path, ["# note=x", "k = 4", "", "a=b=c"])
+        assert read_lines(path) == ["# note=x", "k = 4", "a=b=c"]
         assert read_records(path) == [("k", "4"), ("a", "b=c")]
+        # a line that is neither a comment nor key=value is refused
+        write_lines(path, ["k=4", "  junk  "])
+        with pytest.raises(StoreError, match="line 'junk' is not key=value") as info:
+            read_records(path)
+        assert str(info.value).startswith(path)
 
 
 class TestRenderCountTable:
