@@ -14,7 +14,7 @@ import csv
 from importlib import resources
 
 from ..degseq import (EXACT, INFINITE, BoundEntry, EdgeBoundTable,
-                      _fill_closed_level)
+                      _fill_closed_level, propagate_bounds)
 
 _GRID = "known_exact_small.csv"
 _K9 = "known_e_k9.csv"
@@ -66,8 +66,9 @@ def small_exact_flags() -> dict:
 
 
 def builtin_table(max_level: int = 10) -> EdgeBoundTable:
-    """Definitional base levels plus all bundled published values up to
-    the given level, with closed-form exact entries filling the gaps."""
+    """Definitional base levels and all bundled published values up to the
+    given level; gaps get closed-form exact entries and, on levels 11..20,
+    propagated bounds (from 21 the closed forms cover every order <= 64)."""
     t = EdgeBoundTable()
     for k, n, kind, value in _BASE_ROWS:
         if k <= max_level:
@@ -80,6 +81,8 @@ def builtin_table(max_level: int = 10) -> EdgeBoundTable:
     for k, n, kind, value, _ in sorted(rows):
         if k <= max_level:
             t.set(k, n, BoundEntry(kind, value, "published"))
+    if max_level > 10:
+        t = propagate_bounds(11, min(max_level, 20), t)
     for k in range(3, max_level + 1):
         _fill_closed_level(t, k)
     return t

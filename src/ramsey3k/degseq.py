@@ -8,9 +8,9 @@ and n_i vertices of degree i satisfies
 where B(k-1, m) is any valid lower bound on the minimum edge count of the
 (3,k-1;m) class.  Enumerating the integer solutions of this system (plus
 sum n_i = n and sum i*n_i = 2e) yields minimum-edge lower bounds, closure
-certificates for the extension pipeline (``ClosurePlan.survivors``, with B
-raised to max(B, ceiling + 1) at each degree a row covers), and, where no
-solution exists at any edge count, upper bounds on the Ramsey numbers R(3,k).
+certificates (``ClosurePlan.survivors``: B from a bound table, raised to
+max(B, ceiling + 1) at each degree a row covers), and, where no solution
+exists at any edge count, upper bounds on the Ramsey numbers R(3,k).
 
 One search, ``_sequences``, solves the system for all three.  It cuts by
 the LP relaxation, v*L(s/v) for v vertices of degree sum s with L the lower
@@ -399,18 +399,17 @@ class ClosurePlan:
         """(degree, ceiling) of each row with a positive increment, in order."""
         return tuple((r.degree, r.ceiling) for r in self.rows if r.increment > 0)
 
-    def survivors(self, table: Optional[EdgeBoundTable] = None) -> list:
-        """The solutions at each e' <= e when a degree-i vertex costs
-        i^2 + max(b_i, c_i + 1); none certifies the box.  b_i is ``table``'s
-        bound for each degree it leaves feasible, or without a table the row's
-        base, only the rows' degrees counting; c_i is the ceiling of a row
-        with a positive increment, which the run reads, else -1."""
-        costs = ({r.degree: r.degree ** 2 + r.base for r in self.rows} if table is None
-                 else _degree_costs(self.k_plus_1, self.n, table))
+    def survivors(self, table: EdgeBoundTable, first: bool = False) -> list:
+        """The solutions at each e' <= e (with ``first``, the first one only)
+        when a degree-i vertex costs i^2 + max(b_i, c_i + 1); none certifies
+        the box.  b_i is ``table``'s bound (a gap raises MissingBoundError)
+        for each degree it leaves feasible, whatever the plan's bases say;
+        c_i is the ceiling of a row with a positive increment, else -1."""
+        costs = _degree_costs(self.k_plus_1, self.n, table)
         for i, ceiling in self.cover():
             if i in costs:
                 costs[i] = max(costs[i], i * i + ceiling + 1)
-        return _sequences(self.n, range(self.e + 1), costs)
+        return _sequences(self.n, range(self.e + 1), costs, first)
 
     CSV_HEADER = ["degree", "m", "base", "increment", "ceiling"]
 

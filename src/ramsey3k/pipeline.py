@@ -4,10 +4,9 @@ bottom of the hierarchy.
 
 A manifest binds one target class box to per-degree input files and, as its
 certificate, the closure plan proving that those inputs suffice.  The plan
-certifies itself when read: each degree the bundled published table leaves
-feasible costs the larger of its entry and, for a row with a positive
-increment, the row's ceiling + 1, whatever the plan's bases say; above the
-table's top level the bases are trusted.  Each shard glues its hosts and writes
+certifies itself when read: ``ClosurePlan.survivors`` costs it with the
+bundled table, propagated above level 10, and a first survivor or a bound the
+table lacks refuses the manifest.  Each shard glues its hosts and writes
 its own sorted part file, named by the shard and a hash of the task and input
 lines it was computed from; a run deletes every part no current shard names,
 computes only the missing ones and never writes its manifest, so an
@@ -47,7 +46,7 @@ from .degseq import (
     plan_closure,
 )
 from .extend import ExtensionTask, glue_extend
-from .graphs import Graph, decode_graph6
+from .graphs import MAX_ORDER, Graph, decode_graph6
 from .store import GraphStore, StoreError, read_lines, read_records, write_lines
 
 # input lines per shard.  Part keys hash the task and the chunk, not this
@@ -132,13 +131,13 @@ class JobManifest:
 
     @classmethod
     def read(cls, path: str) -> "JobManifest":
-        """Parse a manifest; a missing, malformed or unknown line, an input
-        degree outside 0..target_k-1, plan rows ``ClosurePlan`` rejects, that
-        leave a survivor under the bundled table or with a positive increment
-        and no input, or ``plan=`` lines without a ``plan_rows=`` count or
-        other than it says raise ManifestError.  A manifest has a plan, and
-        so is certified, exactly when it has the count: the count tells an
-        empty plan from lost plan lines."""
+        """Parse a manifest; a missing, malformed, unknown or repeated line, an
+        input degree outside 0..target_k-1, plan rows ``ClosurePlan`` rejects,
+        that leave a survivor under ``data.builtin_table(target_k - 1)`` (or
+        need a bound it lacks) or with a positive increment and no input, or
+        ``plan=`` lines without a ``plan_rows=`` count or other than it says
+        raise ManifestError.  A manifest has a plan, and so is certified,
+        exactly when it has the count: it tells an empty plan from lost lines."""
         fields: dict = {}
         inputs = []
         plan_rows = []
@@ -153,6 +152,8 @@ class JobManifest:
             try:
                 if key == "input":
                     degree, p = value.split(":", 1)
+                    if (int(degree), p) in inputs:
+                        raise ManifestError(f"{path}: repeated line input={value}")
                     inputs.append((int(degree), p))
                 elif key == "plan":
                     plan_rows.append(PlanRow(*(int(x) for x in value.split(","))))
@@ -182,10 +183,11 @@ class JobManifest:
                                             manifest.e_max, plan_rows)
             for degree in sorted(degrees | {0}):
                 manifest.task_for(degree)  # checks the hub degree and edge cap
-            left = manifest.plan.survivors(_published()) if manifest.plan else []
-        except MissingBoundError:  # a level the bundled table lacks is trusted
-            left = manifest.plan.survivors()
-        except ValueError as exc:
+            # levels up to 10 share one table, and none above 64 is built
+            level = min(max(manifest.target_k - 1, 10), MAX_ORDER)
+            left = (manifest.plan.survivors(_published(level), first=True)
+                    if manifest.plan else [])
+        except (MissingBoundError, ValueError) as exc:
             raise ManifestError(f"{path}: {exc}") from None
         if left:
             raise ManifestError(
@@ -197,7 +199,7 @@ class JobManifest:
         return manifest
 
 
-# the bundled table, built once per process and only read
+# the bundled table through each level, built once per process and only read
 _published = functools.cache(data.builtin_table)
 
 
@@ -248,7 +250,8 @@ def run_manifest(
     for name in set(os.listdir(parts_dir)) - current:
         os.remove(os.path.join(parts_dir, name))
 
-    pending = [shard for shard in shards if not os.path.exists(shard[0])]
+    # equal chunks share a part: it runs once, and the merge reads it twice
+    pending = list({s[0]: s for s in shards if not os.path.exists(s[0])}.values())
     nworkers = min(nworkers, len(pending))
     # each shard writes its own part, and map returns (or raises the first
     # error) only after every shard has run, so a failed or interrupted run

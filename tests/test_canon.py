@@ -341,6 +341,34 @@ def test_golden_canonical_forms(store_6_12_14):
     assert hashlib.sha256(forms.encode()).hexdigest() == GOLDEN_DIGEST
 
 
+def assert_no_two_isomorphic(forms):
+    """Independent duplicate check: networkx VF2 on every pair of forms with
+    equal degree sequence and sorted Z (neighbour degree sums)."""
+    nx = pytest.importorskip("networkx")
+    groups: dict = {}
+    for form in forms:
+        h = decode_graph6(form)
+        g = nx.empty_graph(h.n)
+        g.add_edges_from(h.edges())
+        key = (tuple(sorted(d for _, d in g.degree())),
+               tuple(sorted(sum(g.degree(u) for u in g[v]) for v in g)))
+        groups.setdefault(key, []).append(g)
+    for group in groups.values():
+        assert not any(nx.is_isomorphic(a, b) for a, b in combinations(group, 2))
+
+
+def test_store_forms_pairwise_non_isomorphic(store_6_12_14):
+    assert_no_two_isomorphic(store_6_12_14)
+
+
+@pytest.mark.slow
+def test_census_forms_pairwise_non_isomorphic(tmp_path):
+    from ramsey3k.pipeline import Bootstrap
+    census = Bootstrap(str(tmp_path)).store(7, 16, 23).forms()
+    assert len(census) == 3183
+    assert_no_two_isomorphic(census)
+
+
 def test_store_members_relabelling_invariant(store_6_12_14):
     rng = random.Random(612)
     assert len(store_6_12_14) == 144

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -220,6 +221,9 @@ UNCERTIFIED = "target_k=3\nn=5\ne_max=5\n"
     # the empty graph is a (3,3;0)-member, which no plan covers
     ("target_k=3\nn=0\ne_max=0\nplan_rows=0\n",
      "uncovered: [empty | e=0, slack=0]"),
+    # no bounds are built above level 64, nor at level 21 above order 64
+    ("target_k=66\nn=30\ne_max=0\nplan_rows=0\n", "no bound entry for k=65"),
+    ("target_k=22\nn=70\ne_max=0\nplan_rows=0\n", "no bound entry for k=21, n=69"),
 ], ids=["missing-key", "not-an-integer", "malformed-input", "malformed-plan",
         "unknown-key-done", "unknown-key-regular", "unknown-key-shard-size",
         "uncertified", "unknown-key-certified", "unknown-key-d-min",
@@ -227,7 +231,8 @@ UNCERTIFIED = "target_k=3\nn=5\ne_max=5\n"
         "input-degree-above-k", "negative-e-max", "certified-no-plan",
         "certified-plan-no-count", "count-above-rows", "count-below-rows",
         "uncertified-count-mismatch", "malformed-count", "plan-degree-repeated",
-        "line-without-equals", "garbage-line", "empty-graph-uncovered"])
+        "line-without-equals", "garbage-line", "empty-graph-uncovered",
+        "level-above-64", "order-above-closed-forms"])
 def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
     manifest = tmp_path / "m.manifest"
     manifest.write_text(text)
@@ -236,6 +241,25 @@ def test_bad_manifest_usage_error(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert err.startswith("manifest error:") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("box, survivor", [
+    ("target_k=12\nn=40\ne_max=100", "[n5=40 | e=100, slack=0]"),
+    ("target_k=10\nn=35\ne_max=120", "[n5=3, n6=31, n7=1 | e=104, slack=0]"),
+    ("target_k=40\nn=30\ne_max=100", "[n0=30 | e=0, slack=0]"),
+], ids=["level-11", "level-9-many-survivors", "level-39"])
+def test_empty_plan_names_its_first_survivor(tmp_path, capsys, box, survivor):
+    # a level above the bundled 10 is costed with propagated bounds, and the
+    # refusal stops at the search's first survivor
+    manifest, out = tmp_path / "m.manifest", tmp_path / "o.g6"
+    manifest.write_text(box + "\nplan_rows=0\n")
+    start = time.perf_counter()
+    assert main(["extend", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == (
+        f"manifest error: {manifest}: plan leaves degree sequences uncovered: "
+        f"{survivor}\n")
+    assert not out.exists() and not (tmp_path / "o.g6.parts").exists()
 
 
 def _store_with_bad_line(tmp_path):

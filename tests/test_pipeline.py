@@ -319,9 +319,11 @@ class TestManifest:
             f"manifest error: {path}: plan leaves degree sequences uncovered: "
             "[n2=5 | e=5, slack=0]\n")
         assert not os.path.exists(out) and not os.path.exists(out + ".parts")
-        # the bundled table stops at level 10, so a level-11 plan is trusted
+        # above the bundled level 10 the plan is costed with propagated
+        # bounds: the edgeless 3-vertex graph survives a level-11 plan
         path.write_text("target_k=12\nn=3\ne_max=0\nplan_rows=0\n")
-        assert JobManifest.read(str(path)).plan.rows == ()
+        with pytest.raises(ManifestError, match=re.escape("[n0=3 | e=0, slack=0]")):
+            JobManifest.read(str(path))
 
     def test_plan_base_read_only_through_a_ceiling(self, tmp_path):
         # a run glues every host up to a row's ceiling, so with increment 1
@@ -345,14 +347,14 @@ class TestManifest:
         rows = [PlanRow(i, 48 - i, table.bound_value(10, 48 - i), 0,
                         table.bound_value(10, 48 - i) - 1) for i in range(7, 10)]
         plan = ClosurePlan(11, 49, 237, rows + [PlanRow(10, 38, 140, 0, 139)])
-        assert plan.survivors() == [] and plan.survivors(table)
+        assert plan.survivors(table)
         path = str(tmp_path / "job.manifest")
         JobManifest(target_k=11, n=49, e_max=237, plan=plan).write(path)
         out = str(tmp_path / "x.g6")
         assert cli.main(["extend", "--manifest", path, "--out", out]) == 2
         assert capsys.readouterr().err == (
             f"manifest error: {path}: plan leaves degree sequences uncovered: "
-            "[n9=16, n10=33 | e=237, slack=14]\n")
+            "[n7=4, n8=2, n10=43 | e=237, slack=2]\n")
         assert not os.path.exists(out) and not os.path.exists(out + ".parts")
 
     def test_closure_plan_checks_its_rows(self):
@@ -435,6 +437,26 @@ class TestMergeCheck:
         for suffix in ("", ".meta"):
             assert open(out + suffix, "rb").read() == \
                 open(fresh + suffix, "rb").read()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeated_input(self, tmp_path, capsys, workers):
+        # a repeated input= line is refused on read; a second file with the
+        # same lines keys the same parts, which run once and merge twice
+        Bootstrap(str(tmp_path / "bs")).store(5, 10, 20)
+        path = str(tmp_path / "bs" / "c5_n10_e20.g6.manifest")
+        lines = read_lines(path)
+        hosts, copy = str(tmp_path / "bs" / "c4_n6_e6.g6"), str(tmp_path / "c.g6")
+        assert f"input=3:{hosts}" in lines
+        write_lines(copy, read_lines(hosts))
+        out = str(tmp_path / "x.g6")
+        for extra, code, message in (
+                (hosts, 2, f"{path}: repeated line input=3:{hosts}"),
+                (copy, 1, "glued twice under the canonical rule")):
+            write_lines(path, lines + [f"input=3:{extra}"])
+            assert cli.main(["extend", "--manifest", path, "--out", out,
+                             "--workers", str(workers)]) == code
+            assert message in capsys.readouterr().err
+            assert not os.path.exists(out)
 
 
 class TestCanonicalRule:
@@ -573,6 +595,12 @@ class TestBootstrap:
         st = Bootstrap(root).store(4, 8, 12)
         assert st.forms() == set(brute_force_graphs(8, 4, 12))
         assert [open(path + s, "rb").read() for s in ("", ".meta")] == written
+
+    def test_level_above_the_bundled_table(self, tmp_path):
+        # the (3,12;8,<=4) manifest is costed with bounds propagated to level 11
+        st = Bootstrap(str(tmp_path)).store(12, 8, 4)
+        assert st.counts() == {0: 1, 1: 1, 2: 2, 3: 4, 4: 9}
+        assert st.forms() == set(brute_force_graphs(8, 12, 4))
 
     def test_workers_do_not_change_store(self, tmp_path, monkeypatch):
         written = []
