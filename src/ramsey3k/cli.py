@@ -3,6 +3,8 @@
 Exit codes, for every command from the one table ``_ERRORS``: 0 success,
 1 verification failure, 2 usage error, 3 capacity error.  Worker counts come
 from --workers, then RAMSEY_WORKERS, then the machine's parallelism.
+``plan`` and ``degseq`` cost a class-K box with ``data``'s table through level
+K - 1, ``etable`` prints level K; --table/--seed rows enter before propagation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from . import data
 from .degseq import (
     EdgeBoundTable,
     MissingBoundError,
-    _fill_closed_level,
     feasible_sequences,
     plan_closure,
     propagate_bounds,
@@ -37,29 +38,24 @@ VERIFY_ERROR = 1
 CAPACITY_ERROR = 3
 
 
-def _load_table(path: str | None, max_level: int = 10) -> EdgeBoundTable:
-    table = data.builtin_table(max_level)
-    if path:
-        try:
-            with open(path) as fh:
-                table.merge(EdgeBoundTable.from_csv(fh.read()))
-        except ValueError as exc:
-            raise ValueError(f"bad bound table {path}: {exc}") from None
-    return table
+def _load_table(path: str | None, level: int) -> EdgeBoundTable:
+    if not path:
+        return data.builtin_table(level)
+    try:
+        with open(path) as fh:
+            return data.table_with(EdgeBoundTable.from_csv(fh.read()), level)
+    except ValueError as exc:
+        raise ValueError(f"bad bound table {path}: {exc}") from None
 
 
 def cmd_etable(args) -> int:
     if args.n_from > args.n_to:
         raise ValueError(f"--n-from {args.n_from} is above --n-to {args.n_to}")
-    table = _load_table(args.seed, max_level=min(args.k, 10))
-    top = max([lv for lv in table.levels() if lv >= 1], default=1)
-    if args.k > top:
-        table = propagate_bounds(top + 1, args.k, table)
-    _fill_closed_level(table, args.k)
+    # adds the orders above 64 from level 21 on, and keeps every entry present
+    table = propagate_bounds(11, args.k, _load_table(args.seed, args.k))
     rows = EdgeBoundTable()
     for n in range(args.n_from, args.n_to + 1):
-        if table.has(args.k, n):
-            rows.set(args.k, n, table.entry(args.k, n))
+        rows.set(args.k, n, table.entry(args.k, n))
     text = rows.to_csv()
     if args.out:
         with open(args.out, "w") as fh:
@@ -73,7 +69,8 @@ def cmd_etable(args) -> int:
 
 
 def cmd_degseq(args) -> int:
-    sols = feasible_sequences(args.k, args.n, args.e, _load_table(args.table),
+    sols = feasible_sequences(args.k, args.n, args.e,
+                              _load_table(args.table, args.k - 1),
                               d_lo=args.dmin, d_hi=args.dmax)
     for sol in sols:
         print(sol)
@@ -82,7 +79,8 @@ def cmd_degseq(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    plan = plan_closure(args.k, args.n, args.e, _load_table(args.table))
+    plan = plan_closure(args.k, args.n, args.e,
+                        _load_table(args.table, args.k - 1))
     text = plan.to_csv()
     if args.out:
         with open(args.out, "w") as fh:

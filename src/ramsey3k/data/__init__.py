@@ -6,15 +6,23 @@ published k=11..15 lower-bound columns used by the acceptance checks as
 comparison targets.  Rows flagged "b" lie beyond the closed-form range;
 rows flagged "t" are closed-form values quoted where the degree-sequence
 system is weaker.
+
+The bound commands and the manifest reader take level-L bounds from the
+table through L built here: base levels and bundled rows up to L, a user
+CSV over them, closed-form exact entries in the gaps, bounds propagated on
+levels 11..min(L, 20).  No level above 64 is built: from 21 on, closed
+forms are exact at every order up to 64, a graph's largest.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from importlib import resources
 
 from ..degseq import (EXACT, INFINITE, BoundEntry, EdgeBoundTable,
                       _fill_closed_level, propagate_bounds)
+from ..graphs import MAX_ORDER
 
 _GRID = "known_exact_small.csv"
 _K9 = "known_e_k9.csv"
@@ -66,26 +74,27 @@ def small_exact_flags() -> dict:
 
 
 def builtin_table(max_level: int = 10) -> EdgeBoundTable:
-    """Definitional base levels and all bundled published values up to the
-    given level; gaps get closed-form exact entries and, on levels 11..20,
-    propagated bounds (from 21 the closed forms cover every order <= 64)."""
-    t = EdgeBoundTable()
+    """The table through the given level, built once per level and process;
+    each call returns a copy, which the caller may change."""
+    return _bundled(min(max_level, MAX_ORDER)).copy()
+
+
+def table_with(user: EdgeBoundTable, max_level: int) -> EdgeBoundTable:
+    """The table through the given level with ``user``'s rows set over the
+    bundled ones before propagation; built afresh on each call."""
+    level = min(max_level, MAX_ORDER)
+    rows = _read(_GRID) + _read(_K9) + _read(_K10)
+    t = _as_table([row for row in rows if row[0] <= level], "published")
     for k, n, kind, value in _BASE_ROWS:
-        if k <= max_level:
+        if k <= level:
             t.set(k, n, BoundEntry(kind, value, "definitional"))
-    rows = _read(_GRID)
-    if max_level >= 9:
-        rows += _read(_K9)
-    if max_level >= 10:
-        rows += _read(_K10)
-    for k, n, kind, value, _ in sorted(rows):
-        if k <= max_level:
-            t.set(k, n, BoundEntry(kind, value, "published"))
-    if max_level > 10:
-        t = propagate_bounds(11, min(max_level, 20), t)
-    for k in range(3, max_level + 1):
+    t.merge(user)
+    for k in range(3, level + 1):
         _fill_closed_level(t, k)
-    return t
+    return propagate_bounds(11, min(level, 20), t)
+
+
+_bundled = functools.cache(lambda level: table_with(EdgeBoundTable(), level))
 
 
 def published_high_bounds() -> EdgeBoundTable:

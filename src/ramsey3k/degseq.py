@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,9 +112,6 @@ class EdgeBoundTable:
 
     def first_infinite(self, k: int) -> Optional[int]:
         return self._first_infinite.get(k)
-
-    def levels(self) -> list:
-        return sorted({k for k, _ in self.entries})
 
     def merge(self, other: "EdgeBoundTable") -> None:
         """Set every entry of ``other`` here, over any entry already set."""
@@ -280,9 +278,10 @@ def _hull_lines(points: list) -> list:
 
 
 def _sequences(n: int, edges, costs: dict, first: bool = False) -> list:
-    """The solutions at each e in ``edges`` of the system whose degree-i
-    vertices cost ``costs[i]``, by e and then in the order
-    ``feasible_sequences`` documents; with ``first``, the first one only.
+    """The solutions at each e in ``edges``, ascending and possibly endless,
+    of the system whose degree-i vertices cost ``costs[i]``, by e and then
+    in the order ``feasible_sequences`` documents; with ``first``, the first
+    one only.  The scan ends where 2e exceeds n times the largest degree.
 
     Counts are fixed from the largest degree down.  A count is tried only
     if the degrees after it can take the v vertices and degree sum s left
@@ -331,6 +330,8 @@ def _sequences(n: int, edges, costs: dict, first: bool = False) -> list:
         return False
 
     for e in edges:
+        if 2 * e > n * order[0]:
+            break
         budget = n * e
         if rec(0, n, 2 * e, 0):
             break
@@ -346,7 +347,7 @@ def min_edge_bound(k: int, n: int, table: EdgeBoundTable) -> BoundEntry:
     bound n*L(2e/n) exceeds n*e ends at the first degree's empty interval.
     """
     costs = _degree_costs(k, n, table)
-    found = _sequences(n, range(n * max(costs, default=0) // 2 + 1), costs, first=True)
+    found = _sequences(n, itertools.count(), costs, first=True)
     if found:
         return BoundEntry(LOWER, found[0].e, "computed")
     return BoundEntry(INFINITE, provenance="computed")
@@ -551,7 +552,8 @@ def propagate_bounds(
     k_to: int,
     seed: EdgeBoundTable,
 ) -> EdgeBoundTable:
-    """Fill levels k_from..k_to from the level below each.
+    """Fill levels k_from..k_to from the level below each; the seed holds
+    level k_from - 1 up to its infinite boundary, as ``data``'s tables do.
 
     Closed-form exact entries are materialized first; beyond them every
     order gets max(closed form, solver bound) until the system has no
@@ -560,9 +562,6 @@ def propagate_bounds(
     """
     result = seed.copy()
     for k in range(k_from, k_to + 1):
-        if k - 1 >= 1:
-            # make sure the closed-form exact range below is materialized
-            _fill_closed_level(result, k - 1)
         _fill_closed_level(result, k)
         n = 0
         while True:

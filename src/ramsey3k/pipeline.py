@@ -4,8 +4,8 @@ bottom of the hierarchy.
 
 A manifest binds one target class box to per-degree input files and, as its
 certificate, the closure plan proving that those inputs suffice.  The plan
-certifies itself when read: ``ClosurePlan.survivors`` costs it with the
-bundled table, propagated above level 10, and a first survivor or a bound the
+certifies itself when read: ``ClosurePlan.survivors`` costs it with
+``data.builtin_table(target_k - 1)``, and a first survivor or a bound the
 table lacks refuses the manifest.  Each shard glues its hosts and writes
 its own sorted part file, named by the shard and a hash of the task and input
 lines it was computed from; a run deletes every part no current shard names,
@@ -24,7 +24,6 @@ through ``store``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import heapq
 import math
@@ -46,7 +45,7 @@ from .degseq import (
     plan_closure,
 )
 from .extend import ExtensionTask, glue_extend
-from .graphs import MAX_ORDER, Graph, decode_graph6
+from .graphs import Graph, decode_graph6
 from .store import GraphStore, StoreError, read_lines, read_records, write_lines
 
 # input lines per shard.  Part keys hash the task and the chunk, not this
@@ -183,10 +182,8 @@ class JobManifest:
                                             manifest.e_max, plan_rows)
             for degree in sorted(degrees | {0}):
                 manifest.task_for(degree)  # checks the hub degree and edge cap
-            # levels up to 10 share one table, and none above 64 is built
-            level = min(max(manifest.target_k - 1, 10), MAX_ORDER)
-            left = (manifest.plan.survivors(_published(level), first=True)
-                    if manifest.plan else [])
+            left = manifest.plan and manifest.plan.survivors(
+                data.builtin_table(manifest.target_k - 1), first=True)
         except (MissingBoundError, ValueError) as exc:
             raise ManifestError(f"{path}: {exc}") from None
         if left:
@@ -197,10 +194,6 @@ class JobManifest:
             raise ManifestError(
                 f"{path}: certified plan rows of degree(s) {lacking} have no input")
         return manifest
-
-
-# the bundled table through each level, built once per process and only read
-_published = functools.cache(data.builtin_table)
 
 
 def _run_shard(args) -> None:

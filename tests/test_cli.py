@@ -10,9 +10,10 @@ import ramsey3k
 from ramsey3k import cli
 from ramsey3k.cli import main
 from ramsey3k.canon import canonical_form
-from ramsey3k.degseq import EdgeBoundTable
+from ramsey3k.degseq import ClosurePlan, EdgeBoundTable, PlanRow
 from ramsey3k.graphs import Graph, encode_graph6
 from ramsey3k.oracle import naive_mtf_set
+from ramsey3k.pipeline import JobManifest, ManifestError
 from ramsey3k.store import GraphStore
 
 from conftest import cycle, path as path_graph
@@ -43,6 +44,18 @@ def test_etable_seed_file(tmp_path, capsys):
                  "--out", str(tmp_path / "o.csv"), "--seed", seed]) == 0
     table = EdgeBoundTable.from_csv(open(str(tmp_path / "o.csv")).read())
     assert table.bound_value(10, 39) == 155
+
+
+def test_etable_seed_above_the_level_keeps_it_propagated(tmp_path, capsys):
+    argv = ["etable", "--k", "11", "--n-from", "44", "--n-to", "51"]
+    assert main(argv) == 0
+    seedless = capsys.readouterr()
+    assert len(seedless.out.splitlines()) == 9
+    assert seedless.err == "# first empty order: 50\n"
+    seed = tmp_path / "seed.csv"
+    seed.write_text("k,n,kind,value,provenance\n12,5,exact,0,custom\n")
+    assert main(argv + ["--seed", str(seed)]) == 0
+    assert capsys.readouterr() == seedless
 
 
 @pytest.mark.parametrize("text, reason", [
@@ -81,6 +94,47 @@ def test_plan_certifies(tmp_path, capsys):
                  "--out", out]) == 0
     text = open(out).read()
     assert text.startswith("degree,m,base,increment,ceiling")
+
+
+def test_plan_and_degseq_cost_with_the_readers_table(tmp_path, capsys):
+    # plan and degseq cost a class-K box with level K - 1, as the manifest
+    # reader does: the printed plan is one the reader accepts
+    out = tmp_path / "plan.csv"
+    assert main(["plan", "--k", "12", "--n", "8", "--e", "4",
+                 "--out", str(out)]) == 0
+    rows = [PlanRow(*map(int, line.split(",")))
+            for line in out.read_text().splitlines()[1:]]
+    plan = ClosurePlan(12, 8, 4, rows)
+    path = str(tmp_path / "job.manifest")
+    JobManifest(target_k=12, n=8, e_max=4, plan=plan,
+                inputs=[(d, f"A{d}.g6") for d, _ in plan.cover()]).write(path)
+    assert JobManifest.read(path).plan == plan
+    assert main(["degseq", "--k", "12", "--n", "8", "--e", "4"]) == 0
+    assert capsys.readouterr().err.endswith("# 17 solutions\n")
+    # no level is built above 64: both name the same missing bound
+    assert main(["plan", "--k", "66", "--n", "30", "--e", "0"]) == 2
+    cli_err = capsys.readouterr().err
+    JobManifest(target_k=66, n=30, e_max=0, plan=ClosurePlan(66, 30, 0)).write(path)
+    with pytest.raises(ManifestError) as raised:
+        JobManifest.read(path)
+    assert cli_err == "ramsey3k: error: no bound entry for k=65, n=29\n"
+    assert str(raised.value) == f"{path}: no bound entry for k=65, n=29"
+
+
+@pytest.mark.parametrize("command", ["plan", "degseq"])
+def test_user_table_leaves_the_bundled_table_alone(tmp_path, capsys, command):
+    # a --table is merged into a fresh table: a later run without it prints
+    # what a fresh interpreter prints
+    argv = [command, "--k", "12", "--n", "8", "--e", "4"]
+    fresh, _ = _numpy_after(argv)
+    table = tmp_path / "raise.csv"
+    table.write_text("k,n,kind,value,provenance\n11,7,lower,1,custom\n")
+    assert main(argv + ["--table", str(table)]) == 0
+    raised = capsys.readouterr().out
+    assert main(argv) == 0
+    again = capsys.readouterr().out
+    assert raised != again
+    assert again.splitlines() + ["0 False"] == fresh.splitlines()
 
 
 def test_plan_without_certified_plan_exits_1(monkeypatch, capsys):
@@ -333,7 +387,7 @@ def _mtf_non_maximal(tmp_path):
     return path
 
 
-TABLE_GAP = ["--k", "12", "--n", "40", "--e", "100"]  # no k=11 rows
+TABLE_GAP = ["--k", "66", "--n", "30", "--e", "0"]  # no level is built above 64
 
 
 @pytest.mark.parametrize("make, argv, code", [
@@ -483,9 +537,10 @@ def test_verify_never_loads_numpy(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["etable", "--k", "12", "--n-from", "50", "--n-to", "59"],
     ["plan", "--k", "7", "--n", "16", "--e", "23"],
+    ["plan", "--k", "12", "--n", "8", "--e", "4"],
     ["degseq", "--k", "10", "--n", "42", "--e", "189", "--dmin", "7",
      "--dmax", "9"],
-], ids=["etable", "plan", "degseq"])
+], ids=["etable", "plan", "plan-level-11", "degseq"])
 def test_bound_commands_never_load_numpy(argv):
     # the degree-sequence solver is pure Python; etable --k 12 propagates
     # level 11 and 12 through it

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -308,6 +309,14 @@ class TestClosure:
         assert odd.survivors(builtin) == plan.survivors(builtin) == []
         assert closure_sufficiency_check(8, 25, 65, odd, builtin).certified
 
+    def test_survivors_stop_at_the_largest_degree_sum(self, builtin):
+        # no sequence has 2e above n times the largest open degree, so an
+        # edge cap far above it scans no further
+        rows = plan_closure(3, 5, 5, builtin).rows
+        start = time.perf_counter()
+        assert ClosurePlan(3, 5, 10 ** 8, rows).survivors(builtin) == []
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("box", [(7, 16, 23), (8, 25, 65), (9, 27, 61)])
     def test_survivors_match_feasible_sequences(self, builtin, rng, box):
         # the plan's own solver agrees with the public one run on a table
@@ -440,7 +449,7 @@ class TestPropagation:
         assert r_upper(8, builtin) == 28
 
     def test_infinity_monotone(self, propagated):
-        for k in propagated.levels():
+        for k in sorted({k for k, _ in propagated.entries}):
             first = propagated.first_infinite(k)
             if first is None:
                 continue
@@ -453,6 +462,21 @@ class TestPropagation:
         # R(3,11..16) <= 50, 59, 68, 77, 87, 98
         assert hashlib.sha256(propagated.to_csv().encode()).hexdigest() == (
             "7c2b0597d63d3d8d3264073baadb4108fa76d9c44f5b4c8565d0a4741a0be316")
+
+    def test_builtin_table_levels(self):
+        # a level up to 10 holds the same entries whatever level the table is
+        # built through, each call returns a table of its own, and a user
+        # row is merged before propagation, so the level above sees it
+        top = data.builtin_table(10)
+        for level in range(1, 11):
+            assert data.builtin_table(level).entries == {
+                key: e for key, e in top.entries.items() if key[0] <= level}
+        top.set(10, 38, BoundEntry(LOWER, 145, "custom"))
+        assert data.builtin_table(10).bound_value(10, 38) == 139
+        raised = data.table_with(top, 11)
+        assert [raised.bound_value(11, n) for n in (48, 49)] == [224, 245]
+        bundled = data.builtin_table(11)
+        assert [bundled.bound_value(11, n) for n in (48, 49)] == [222, 237]
 
     def test_unknown_marker(self):
         t = EdgeBoundTable()

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import time
 
 import pytest
 
@@ -324,6 +325,18 @@ class TestManifest:
         path.write_text("target_k=12\nn=3\ne_max=0\nplan_rows=0\n")
         with pytest.raises(ManifestError, match=re.escape("[n0=3 | e=0, slack=0]")):
             JobManifest.read(str(path))
+
+    def test_huge_edge_cap_reads_quickly(self, tmp_path):
+        # the certificate's scan stops where 2e exceeds n times the largest
+        # degree, so the read time does not grow with e_max
+        rows = plan_closure(3, 5, 5, data.builtin_table(2)).rows
+        plan = ClosurePlan(3, 5, 10 ** 8, rows)
+        path = str(tmp_path / "job.manifest")
+        JobManifest(target_k=3, n=5, e_max=10 ** 8, plan=plan,
+                    inputs=[(d, f"A{d}.g6") for d, _ in plan.cover()]).write(path)
+        start = time.perf_counter()
+        assert JobManifest.read(path).plan == plan
+        assert time.perf_counter() - start < 2
 
     def test_plan_base_read_only_through_a_ceiling(self, tmp_path):
         # a run glues every host up to a row's ceiling, so with increment 1
