@@ -4,7 +4,7 @@ Exit codes, for every command from the one table ``_ERRORS``: 0 success,
 1 verification failure, 2 usage error, 3 capacity error.  Worker counts come
 from --workers, then RAMSEY_WORKERS, then the machine's parallelism.
 ``plan`` and ``degseq`` cost a class-K box with ``data``'s table through level
-K - 1, ``etable`` prints level K; --table/--seed rows enter before propagation.
+K - 1, ``etable`` prints level K; --table/--seed rows enter before derivation.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from . import data
 from .degseq import (
     EdgeBoundTable,
     MissingBoundError,
+    derived_entry,
     feasible_sequences,
     plan_closure,
-    propagate_bounds,
     r_upper,
 )
 from .extend import edge_removal_closure
@@ -51,11 +51,10 @@ def _load_table(path: str | None, level: int) -> EdgeBoundTable:
 def cmd_etable(args) -> int:
     if args.n_from > args.n_to:
         raise ValueError(f"--n-from {args.n_from} is above --n-to {args.n_to}")
-    # adds the orders above 64 from level 21 on, and keeps every entry present
-    table = propagate_bounds(11, args.k, _load_table(args.seed, args.k))
+    table = _load_table(args.seed, args.k)
     rows = EdgeBoundTable()
     for n in range(args.n_from, args.n_to + 1):
-        rows.set(args.k, n, table.entry(args.k, n))
+        rows.set(args.k, n, derived_entry(table, args.k, n))
     text = rows.to_csv()
     if args.out:
         with open(args.out, "w") as fh:
@@ -63,7 +62,7 @@ def cmd_etable(args) -> int:
     else:
         sys.stdout.write(text)
     bound = r_upper(args.k, table)
-    if bound is not None:
+    if bound is not None and bound <= args.n_to:
         print(f"# first empty order: {bound}", file=sys.stderr)
     return 0
 
@@ -171,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "generation, bounds, verification")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("etable", help="closed forms + propagated bounds")
+    q = sub.add_parser("etable", help="closed forms + derived bounds")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n-from", type=int, required=True)
     q.add_argument("--n-to", type=int, required=True)

@@ -9,9 +9,9 @@ system is weaker.
 
 The bound commands and the manifest reader take level-L bounds from the
 table through L built here: base levels and bundled rows up to L, a user
-CSV over them, closed-form exact entries in the gaps, bounds propagated on
-levels 11..min(L, 20).  No level above 64 is built: from 21 on, closed
-forms are exact at every order up to 64, a graph's largest.
+CSV over them, and the closed-form exact prefix of levels 3..10.  Every
+other entry, on any level, is derived when first read
+(``degseq.derived_entry``).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import functools
 from importlib import resources
 
 from ..degseq import (EXACT, INFINITE, BoundEntry, EdgeBoundTable,
-                      _fill_closed_level, propagate_bounds)
-from ..graphs import MAX_ORDER
+                      _fill_closed_level)
 
 _GRID = "known_exact_small.csv"
 _K9 = "known_e_k9.csv"
@@ -76,22 +75,21 @@ def small_exact_flags() -> dict:
 def builtin_table(max_level: int = 10) -> EdgeBoundTable:
     """The table through the given level, built once per level and process;
     each call returns a copy, which the caller may change."""
-    return _bundled(min(max_level, MAX_ORDER)).copy()
+    return _bundled(max_level).copy()
 
 
 def table_with(user: EdgeBoundTable, max_level: int) -> EdgeBoundTable:
     """The table through the given level with ``user``'s rows set over the
-    bundled ones before propagation; built afresh on each call."""
-    level = min(max_level, MAX_ORDER)
+    bundled ones before any entry is derived; built afresh on each call."""
     rows = _read(_GRID) + _read(_K9) + _read(_K10)
-    t = _as_table([row for row in rows if row[0] <= level], "published")
+    t = _as_table([row for row in rows if row[0] <= max_level], "published")
     for k, n, kind, value in _BASE_ROWS:
-        if k <= level:
+        if k <= max_level:
             t.set(k, n, BoundEntry(kind, value, "definitional"))
     t.merge(user)
-    for k in range(3, level + 1):
+    for k in range(3, min(max_level, 10) + 1):
         _fill_closed_level(t, k)
-    return propagate_bounds(11, min(level, 20), t)
+    return t
 
 
 _bundled = functools.cache(lambda level: table_with(EdgeBoundTable(), level))

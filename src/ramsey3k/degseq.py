@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 EXACT = "exact"
@@ -100,9 +100,6 @@ class EdgeBoundTable:
             return True
         except MissingBoundError:
             return False
-
-    def is_infinite(self, k: int, n: int) -> bool:
-        return self.entry(k, n).kind == INFINITE
 
     def bound_value(self, k: int, n: int) -> int:
         e = self.entry(k, n)
@@ -222,7 +219,8 @@ class DegreeSequenceSolution:
 
 
 def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo=0, d_hi=None):
-    """Each allowed degree's i^2 + bound(k-1, n-i-1) cost; the degrees ascend."""
+    """Each allowed degree's i^2 + bound(k-1, n-i-1) cost, the bound read
+    through ``derived_entry`` (which sets it in ``table``); degrees ascend."""
     if k < 1:
         raise ValueError(f"class bound k must be >= 1, got {k}")
     if n < 0:
@@ -239,7 +237,7 @@ def _degree_costs(k: int, n: int, table: EdgeBoundTable, d_lo=0, d_hi=None):
         m = n - i - 1
         if m < 0:
             continue
-        entry = table.entry(k - 1, m)  # raises MissingBoundError on gaps
+        entry = derived_entry(table, k - 1, m)
         if entry.kind == INFINITE:
             continue
         costs[i] = i * i + entry.value
@@ -403,9 +401,9 @@ class ClosurePlan:
     def survivors(self, table: EdgeBoundTable, first: bool = False) -> list:
         """The solutions at each e' <= e (with ``first``, the first one only)
         when a degree-i vertex costs i^2 + max(b_i, c_i + 1); none certifies
-        the box.  b_i is ``table``'s bound (a gap raises MissingBoundError)
-        for each degree it leaves feasible, whatever the plan's bases say;
-        c_i is the ceiling of a row with a positive increment, else -1."""
+        the box.  b_i is ``table``'s bound (``derived_entry``) for each degree
+        it leaves feasible, whatever the plan's bases say; c_i is the
+        ceiling of a row with a positive increment, else -1."""
         costs = _degree_costs(self.k_plus_1, self.n, table)
         for i, ceiling in self.cover():
             if i in costs:
@@ -547,41 +545,38 @@ def plan_closure(
 # Propagation
 # ---------------------------------------------------------------------------
 
-def propagate_bounds(
-    k_from: int,
-    k_to: int,
-    seed: EdgeBoundTable,
-) -> EdgeBoundTable:
-    """Fill levels k_from..k_to from the level below each; the seed holds
-    level k_from - 1 up to its infinite boundary, as ``data``'s tables do.
+def derived_entry(table: EdgeBoundTable, k: int, n: int) -> BoundEntry:
+    """(k, n)'s entry, set in ``table`` when missing after level k's missing
+    lower orders, so the first order whose system has no solution is the
+    level's infinite boundary.  A derived order gets the closed form where
+    that is exact, else max(closed form, solver bound over level k - 1 read
+    through this function), or infinite where the system has no solution;
+    MissingBoundError when no level below k holds an entry."""
+    if not table.has(k, n):
+        if not any(0 < level < k for level, _ in table.entries):
+            raise MissingBoundError(f"no bound entry for k={k}, n={n}")
+        for m in range(n + 1):
+            if table.has(k, m):
+                continue
+            entry = closed_form_e(k, m)
+            if entry.kind != EXACT:
+                solved = min_edge_bound(k, m, table)
+                if solved.kind == INFINITE or solved.value > entry.value:
+                    entry = replace(solved, provenance="propagated")
+            table.set(k, m, entry)
+    return table.entry(k, n)
 
-    Closed-form exact entries are materialized first; beyond them every
-    order gets max(closed form, solver bound) until the system has no
-    solution, which places the infinite boundary (and hence the R(3,k)
-    upper bound) for the level.
-    """
+
+def propagate_bounds(k_from: int, k_to: int,
+                     seed: EdgeBoundTable) -> EdgeBoundTable:
+    """A copy of ``seed`` with levels k_from..k_to derived by
+    ``derived_entry`` out to each level's first infinite order, which is
+    the level's R(3,k) upper bound."""
     result = seed.copy()
     for k in range(k_from, k_to + 1):
-        _fill_closed_level(result, k)
         n = 0
-        while True:
-            if result.has(k, n):
-                if result.is_infinite(k, n):
-                    break
-                n += 1
-                continue
-            cf = closed_form_e(k, n)
-            solved = min_edge_bound(k, n, result)
-            if solved.kind == INFINITE:
-                result.set(k, n, BoundEntry(INFINITE, provenance="propagated"))
-                break
-            if cf.value >= solved.value:
-                result.set(k, n, BoundEntry(LOWER, cf.value, "closed form"))
-            else:
-                result.set(k, n, BoundEntry(LOWER, solved.value, "propagated"))
+        while derived_entry(result, k, n).kind != INFINITE:
             n += 1
-            if n > 4 * k * k + 64:
-                raise RuntimeError(f"no infinite boundary found for k={k}")
     return result
 
 

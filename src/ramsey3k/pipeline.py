@@ -6,13 +6,13 @@ A manifest binds one target class box to per-degree input files and, as its
 certificate, the closure plan proving that those inputs suffice.  The plan
 certifies itself when read: ``ClosurePlan.survivors`` costs it with
 ``data.builtin_table(target_k - 1)``, and a first survivor or a bound the
-table lacks refuses the manifest.  Each shard glues its hosts and writes
-its own sorted part file, named by the shard and a hash of the task and input
-lines it was computed from; a run deletes every part no current shard names,
-computes only the missing ones and never writes its manifest, so an
-interrupted run resumes without recomputation, a stale part is never trusted,
-and the merged output is byte-identical regardless of worker count or
-interruption points.
+table cannot derive refuses the manifest.  Each shard glues its hosts and
+writes its own sorted part file, named by the shard and a hash of the task
+and input lines it was computed from; a run deletes every part no current
+shard names, computes only the missing ones and never writes its manifest,
+so an interrupted run resumes without recomputation, a stale part is never
+trusted, and the merged output is byte-identical regardless of worker count
+or interruption points.
 
 Canonical-hub acceptance is the one dedup across inputs: under a plan the
 parts are disjoint, and the merge of the sorted parts checks it, raising on
@@ -36,6 +36,7 @@ from .canon import canonical_form
 from .degseq import (
     EXACT,
     INFINITE,
+    LOWER,
     BoundEntry,
     ClosurePlan,
     EdgeBoundTable,
@@ -45,7 +46,7 @@ from .degseq import (
     plan_closure,
 )
 from .extend import ExtensionTask, glue_extend
-from .graphs import Graph, decode_graph6
+from .graphs import MAX_ORDER, Graph, decode_graph6
 from .store import GraphStore, StoreError, read_lines, read_records, write_lines
 
 # input lines per shard.  Part keys hash the task and the chunk, not this
@@ -131,9 +132,10 @@ class JobManifest:
     @classmethod
     def read(cls, path: str) -> "JobManifest":
         """Parse a manifest; a missing, malformed, unknown or repeated line, an
-        input degree outside 0..target_k-1, plan rows ``ClosurePlan`` rejects,
-        that leave a survivor under ``data.builtin_table(target_k - 1)`` (or
-        need a bound it lacks) or with a positive increment and no input, or
+        order n above ``graphs.MAX_ORDER``, an input degree outside
+        0..target_k-1, plan rows ``ClosurePlan`` rejects, that leave a
+        survivor under ``data.builtin_table(target_k - 1)`` (or need a bound
+        it cannot derive) or with a positive increment and no input, or
         ``plan=`` lines without a ``plan_rows=`` count or other than it says
         raise ManifestError.  A manifest has a plan, and so is certified,
         exactly when it has the count: it tells an empty plan from lost lines."""
@@ -165,6 +167,9 @@ class JobManifest:
         missing = [key for key in ("target_k", "n", "e_max") if key not in fields]
         if missing:
             raise ManifestError(f"{path}: missing key(s) {missing}")
+        if fields["n"] > MAX_ORDER:
+            raise ManifestError(
+                f"{path}: order n={fields['n']} above the graph order cap {MAX_ORDER}")
         unknown = [x for x in fields.get("no_prune", ()) if x not in PRUNE_NAMES]
         if unknown:
             raise ManifestError(
@@ -315,9 +320,10 @@ class Bootstrap:
     # -- values ---------------------------------------------------------
 
     def value(self, k: int, n: int):
-        """Exact e(3,k,n) derived by generation; math.inf when empty."""
-        if self.table.has(k, n):
-            entry = self.table.entry(k, n)
+        """Exact e(3,k,n) derived by generation; math.inf when empty.  A LOWER
+        entry (``derived_entry`` sets them) only raises the first probe."""
+        entry = self.table.entry(k, n) if self.table.has(k, n) else None
+        if entry is not None and entry.kind != LOWER:
             return math.inf if entry.kind == INFINITE else entry.value
         if n == 0:
             self._set_value(k, n, 0)
@@ -329,7 +335,7 @@ class Bootstrap:
             self._set_value(k, n, math.inf)
             return math.inf
         ceiling = (k - 1) * n // 2
-        probe = lb.value
+        probe = lb.value if entry is None else max(lb.value, entry.value)
         while probe <= ceiling:
             store = self.store(k, n, probe)
             if len(store):

@@ -10,7 +10,7 @@ import ramsey3k
 from ramsey3k import cli
 from ramsey3k.cli import main
 from ramsey3k.canon import canonical_form
-from ramsey3k.degseq import ClosurePlan, EdgeBoundTable, PlanRow
+from ramsey3k.degseq import INFINITE, ClosurePlan, EdgeBoundTable, PlanRow
 from ramsey3k.graphs import Graph, encode_graph6
 from ramsey3k.oracle import naive_mtf_set
 from ramsey3k.pipeline import JobManifest, ManifestError
@@ -21,10 +21,14 @@ from conftest import cycle, path as path_graph
 
 def test_etable_stdout(capsys):
     assert main(["etable", "--k", "3", "--n-from", "3", "--n-to", "6"]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     table = EdgeBoundTable.from_csv(out)
     assert table.bound_value(3, 5) == 5
-    assert table.is_infinite(3, 6)
+    assert table.entry(3, 6).kind == INFINITE
+    assert err == "# first empty order: 6\n"
+    # rows that stop below the boundary do not name it
+    assert main(["etable", "--k", "3", "--n-from", "3", "--n-to", "5"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_etable_propagates(tmp_path, capsys):
@@ -33,7 +37,7 @@ def test_etable_propagates(tmp_path, capsys):
                  "--out", out]) == 0
     table = EdgeBoundTable.from_csv(open(out).read())
     assert table.bound_value(11, 46) == 195
-    assert table.is_infinite(11, 50)
+    assert table.entry(11, 50).kind == INFINITE
 
 
 def test_etable_seed_file(tmp_path, capsys):
@@ -56,6 +60,21 @@ def test_etable_seed_above_the_level_keeps_it_propagated(tmp_path, capsys):
     seed.write_text("k,n,kind,value,provenance\n12,5,exact,0,custom\n")
     assert main(argv + ["--seed", str(seed)]) == 0
     assert capsys.readouterr() == seedless
+
+
+def test_etable_derives_only_the_rows_it_prints():
+    # both rows are closed forms, so no level below 66 is derived out to
+    # its boundary, and the rows do not reach level 66's own
+    src = os.path.dirname(os.path.dirname(ramsey3k.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "ramsey3k.cli", "etable", "--k", "66",
+         "--n-from", "60", "--n-to", "61"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[1:] == [
+        "66,60,exact,0,closed form", "66,61,exact,0,closed form"]
+    assert "# first empty order" not in result.stderr
 
 
 @pytest.mark.parametrize("text, reason", [
@@ -98,27 +117,23 @@ def test_plan_certifies(tmp_path, capsys):
 
 def test_plan_and_degseq_cost_with_the_readers_table(tmp_path, capsys):
     # plan and degseq cost a class-K box with level K - 1, as the manifest
-    # reader does: the printed plan is one the reader accepts
+    # reader does: the printed plan is one the reader accepts.  Level 65 is
+    # derived on demand, so (66;30,<=0) is costed like any other box
     out = tmp_path / "plan.csv"
-    assert main(["plan", "--k", "12", "--n", "8", "--e", "4",
-                 "--out", str(out)]) == 0
-    rows = [PlanRow(*map(int, line.split(",")))
-            for line in out.read_text().splitlines()[1:]]
-    plan = ClosurePlan(12, 8, 4, rows)
     path = str(tmp_path / "job.manifest")
-    JobManifest(target_k=12, n=8, e_max=4, plan=plan,
-                inputs=[(d, f"A{d}.g6") for d, _ in plan.cover()]).write(path)
-    assert JobManifest.read(path).plan == plan
-    assert main(["degseq", "--k", "12", "--n", "8", "--e", "4"]) == 0
-    assert capsys.readouterr().err.endswith("# 17 solutions\n")
-    # no level is built above 64: both name the same missing bound
-    assert main(["plan", "--k", "66", "--n", "30", "--e", "0"]) == 2
-    cli_err = capsys.readouterr().err
-    JobManifest(target_k=66, n=30, e_max=0, plan=ClosurePlan(66, 30, 0)).write(path)
-    with pytest.raises(ManifestError) as raised:
-        JobManifest.read(path)
-    assert cli_err == "ramsey3k: error: no bound entry for k=65, n=29\n"
-    assert str(raised.value) == f"{path}: no bound entry for k=65, n=29"
+    for k, n, e, solutions in [(12, 8, 4, 17), (66, 30, 0, 1)]:
+        argv = ["--k", str(k), "--n", str(n), "--e", str(e)]
+        assert main(["plan"] + argv + ["--out", str(out)]) == 0
+        rows = [PlanRow(*map(int, line.split(",")))
+                for line in out.read_text().splitlines()[1:]]
+        plan = ClosurePlan(k, n, e, rows)
+        JobManifest(target_k=k, n=n, e_max=e, plan=plan,
+                    inputs=[(d, f"A{d}.g6") for d, _ in plan.cover()]).write(path)
+        assert JobManifest.read(path).plan == plan
+        assert main(["degseq"] + argv) == 0
+        assert capsys.readouterr().err.endswith(f"# {solutions} solutions\n")
+    # the edgeless graph's one sequence is covered by the degree-0 row
+    assert plan.cover() == ((0, 0),)
 
 
 @pytest.mark.parametrize("command", ["plan", "degseq"])
@@ -275,9 +290,11 @@ UNCERTIFIED = "target_k=3\nn=5\ne_max=5\n"
     # the empty graph is a (3,3;0)-member, which no plan covers
     ("target_k=3\nn=0\ne_max=0\nplan_rows=0\n",
      "uncovered: [empty | e=0, slack=0]"),
-    # no bounds are built above level 64, nor at level 21 above order 64
-    ("target_k=66\nn=30\ne_max=0\nplan_rows=0\n", "no bound entry for k=65"),
-    ("target_k=22\nn=70\ne_max=0\nplan_rows=0\n", "no bound entry for k=21, n=69"),
+    # level 65 is derived on demand, and no graph has more than 64 vertices
+    ("target_k=66\nn=30\ne_max=0\nplan_rows=0\n",
+     "uncovered: [n0=30 | e=0, slack=0]"),
+    ("target_k=22\nn=70\ne_max=0\nplan_rows=0\n",
+     "order n=70 above the graph order cap 64"),
 ], ids=["missing-key", "not-an-integer", "malformed-input", "malformed-plan",
         "unknown-key-done", "unknown-key-regular", "unknown-key-shard-size",
         "uncertified", "unknown-key-certified", "unknown-key-d-min",
@@ -387,7 +404,7 @@ def _mtf_non_maximal(tmp_path):
     return path
 
 
-TABLE_GAP = ["--k", "66", "--n", "30", "--e", "0"]  # no level is built above 64
+LEVEL_65 = ["--k", "66", "--n", "30", "--e", "0"]  # level 65 derived on demand
 
 
 @pytest.mark.parametrize("make, argv, code", [
@@ -398,8 +415,8 @@ TABLE_GAP = ["--k", "66", "--n", "30", "--e", "0"]  # no level is built above 64
     (_store_with_bad_line, ["count", "--store"], 2),
     (_store_with_malformed_meta, ["count", "--store"], 1),
     (_store_with_meta_line_without_equals, ["count", "--store"], 1),
-    (None, ["plan"] + TABLE_GAP, 2),
-    (None, ["degseq"] + TABLE_GAP, 2),
+    (None, ["plan"] + LEVEL_65, 0),
+    (None, ["degseq"] + LEVEL_65, 0),
     (None, ["degseq", "--k", "5", "--n", "10", "--e", "20", "--dmax", "9"], 2),
     (None, ["oracle", "--n", "5", "--k", "1", "--out", "o.g6"], 2),
     (None, ["oracle", "--n", "-2", "--k", "3", "--out", "o.g6"], 2),
@@ -470,7 +487,7 @@ def test_typed_input_errors(tmp_path, capsys, monkeypatch, make, argv, code):
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert not (tmp_path / "o.g6").exists()
     # errors the command reports itself
-    if make in (None, _oracle_manifest, _c5_store, _c5_store_and_k2,
+    if code and make in (None, _oracle_manifest, _c5_store, _c5_store_and_k2,
                 _mtf_mixed_orders):
         assert err.startswith("ramsey3k: error:")
     if make is _mtf_non_maximal:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from ramsey3k.degseq import (
     _survivors,
     closed_form_e,
     closure_sufficiency_check,
+    derived_entry,
     feasible_sequences,
     min_edge_bound,
     plan_closure,
@@ -398,7 +400,7 @@ class TestClosure:
         assert len(boxes) == 20
         for k in range(3, 7):
             for n in range(1, 13):
-                if builtin.is_infinite(k, n):
+                if builtin.entry(k, n).kind == INFINITE:
                     break
                 low = builtin.bound_value(k, n)
                 boxes += [(k, n, e) for e in range(low, low + 4)]
@@ -466,7 +468,7 @@ class TestPropagation:
     def test_builtin_table_levels(self):
         # a level up to 10 holds the same entries whatever level the table is
         # built through, each call returns a table of its own, and a user
-        # row is merged before propagation, so the level above sees it
+        # row is merged before any entry is derived, so level 11 sees it
         top = data.builtin_table(10)
         for level in range(1, 11):
             assert data.builtin_table(level).entries == {
@@ -474,9 +476,30 @@ class TestPropagation:
         top.set(10, 38, BoundEntry(LOWER, 145, "custom"))
         assert data.builtin_table(10).bound_value(10, 38) == 139
         raised = data.table_with(top, 11)
-        assert [raised.bound_value(11, n) for n in (48, 49)] == [224, 245]
+        assert [derived_entry(raised, 11, n).value for n in (48, 49)] == [224, 245]
         bundled = data.builtin_table(11)
-        assert [bundled.bound_value(11, n) for n in (48, 49)] == [222, 237]
+        assert [derived_entry(bundled, 11, n).value for n in (48, 49)] == [222, 237]
+
+    def test_derived_entries_match_propagation_in_any_order(self, propagated):
+        # an order far above the boundary derives every order below it
+        # first, so each level's first infinite order is propagation's
+        table = data.builtin_table(10)
+        assert derived_entry(table, 16, 120).kind == INFINITE
+        assert [r_upper(k, table) for k in range(11, 17)] == [50, 59, 68, 77, 87, 98]
+        # each entry of levels 11..16 up to its boundary, asked for in a
+        # shuffled order, is the one propagate_bounds sets
+        keys = sorted(key for key in propagated.entries if 11 <= key[0] <= 16)
+        random.Random(31).shuffle(keys)
+        table = data.builtin_table(10)
+        for k, n in keys:
+            assert derived_entry(table, k, n) == propagated.entry(k, n), (k, n)
+
+    def test_paper_scale_bound_derived_on_demand(self):
+        # R(3,16) <= 98 from the bundled levels alone: the solver reads
+        # level 15 at orders 81..97, derived down to level 11 on demand
+        table = data.builtin_table(15)
+        assert min_edge_bound(16, 98, table).kind == INFINITE
+        assert min_edge_bound(16, 97, table) == BoundEntry(LOWER, 721, "computed")
 
     def test_unknown_marker(self):
         t = EdgeBoundTable()
@@ -500,7 +523,7 @@ class TestEdgeBoundTable:
         t.set(3, 6, BoundEntry(INFINITE, provenance="test"))
         with pytest.raises(ValueError, match="at or above"):
             t.set(3, 6, BoundEntry(EXACT, 7, "test"))
-        assert t.is_infinite(3, 6) and t.first_infinite(3) == 6
+        assert t.entry(3, 6).kind == INFINITE and t.first_infinite(3) == 6
 
     def test_implied_infinity(self):
         t = EdgeBoundTable()

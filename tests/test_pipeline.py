@@ -8,7 +8,8 @@ import pytest
 
 from ramsey3k import cli, data, extend, pipeline
 from ramsey3k.canon import canonical_form
-from ramsey3k.degseq import EXACT, INFINITE, LOWER, ClosurePlan, PlanRow, plan_closure
+from ramsey3k.degseq import (EXACT, INFINITE, LOWER, BoundEntry, ClosurePlan,
+                             PlanRow, plan_closure)
 from ramsey3k.graphs import Graph, GraphFormatError, encode_graph6
 from ramsey3k.oracle import brute_force_graphs
 from ramsey3k.pipeline import (
@@ -538,6 +539,14 @@ class TestBootstrap:
         assert bs.value(3, 6) == math.inf
         assert bs.value(4, 8) == 10
         assert bs.value(4, 9) == math.inf
+
+    def test_lower_entry_is_not_a_value(self, tmp_path):
+        # a LOWER entry, as derived_entry may set one, is probed from and
+        # then overwritten by the exact value
+        bs = Bootstrap(str(tmp_path / "bs"))
+        bs.table.set(3, 5, BoundEntry(LOWER, 3, "planted"))
+        assert bs.value(3, 5) == 5
+        assert bs.table.entry(3, 5) == BoundEntry(EXACT, 5, "derived")
 
     def test_store_matches_oracle(self, tmp_path):
         bs = Bootstrap(str(tmp_path / "bs"))
