@@ -11,8 +11,6 @@ from .graphs import (
     MembershipError,
     circulant,
     decode_graph6,
-    deficiency_graph,
-    deficiency_vertex,
     encode_graph6,
     independence_number,
     is_triangle_free,
@@ -33,8 +31,6 @@ __all__ = [
     "canonical_labeling",
     "circulant",
     "decode_graph6",
-    "deficiency_graph",
-    "deficiency_vertex",
     "encode_graph6",
     "independence_number",
     "is_triangle_free",

@@ -58,15 +58,20 @@ Disabling any of the first five must not change the output set of a single
 host; disabling the canonical rule must not change the output set of a
 certified run.  The test suite holds the engine to both.
 
-Every independence question is "does H minus a union of assigned sets hold
-an independent r-set?"  It is answered from the subset table when d >= 2
-and H has at most TABLE_MAX_ORDER vertices, and by branch and bound
-otherwise.
+Every union question is "does H minus a union of assigned sets hold an
+independent r-set?"  It is answered from the subset table when d >= 2 and
+H has at most TABLE_MAX_ORDER vertices, and by branch and bound otherwise.
+The pair test needs no table: two sets fail it exactly when an independent
+(k-1)-set of H misses both, so a set's compatibility row is every set but
+those missed by an independent (k-1)-set that misses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Optional
 
 from .canon import (
@@ -127,8 +132,6 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     Each hub neighbour is joined to an independent set of H of order at
     most k-1; a vertex of H is in at most k - deg_H(w) of them.
     """
-    import numpy as np  # here, so the pure-Python paths never load it
-
     k = task.k
     d = task.d
     m = H.n
@@ -148,11 +151,11 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
 
     adj = H.adj
     full = (1 << m) - 1
-    table = None  # built below; saturated at k-1, the largest order asked
+    table = None  # built below; orders up to k-1, the largest asked
 
     def alpha_ge(mask: int, r: int) -> bool:
         if table is not None:
-            return table[mask] >= r
+            return table[r][mask >> 3] >> (mask & 7) & 1 == 1
         return _alpha(adj, mask, r)[0] >= r
 
     lo_t = 3 if task.prune_pair else 2
@@ -196,7 +199,8 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
         accept((), e_h)
         return out
 
-    sets = independent_sets(H, min(k - 1, budget))  # the empty set at least
+    hi = min(k - 1, budget)
+    sets = independent_sets(H, hi)  # the empty set at least
     orders = [s.bit_count() for s in sets]
     # upto[c]: the sets of order <= c, a prefix of the sorted list; every
     # order up to the top occurs, since independence is closed under subsets
@@ -225,24 +229,9 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
                 return False
         return True
 
-    # compat[a]: the sets b that pass the pair test with a; built on first use
-    compat: list = [None] * len(sets)
-    set_array = np.array(sets, dtype=np.int64)
-
-    def compat_row(a: int) -> int:
-        row = compat[a]
-        if row is None:
-            if table is not None:
-                cells = np.frombuffer(table, dtype=np.uint8)
-                ok = cells[full & ~(set_array | sets[a])] < k - 1
-                row = int.from_bytes(
-                    np.packbits(ok, bitorder="little").tobytes(), "little")
-            else:  # ascending assignment reads no bit below a; those stay 0
-                first = a if task.prune_ascending else 0
-                row = sum(1 << b for b in range(first, len(sets))
-                          if not alpha_ge(full & ~(sets[a] | sets[b]), k - 1))
-            compat[a] = row
-        return row
+    # only a pick with two or more neighbours still to come reads a row
+    compat_row = (_pair_rows(H, sets, k, hi == k - 1)
+                  if d >= 2 and task.prune_pair else None)
 
     def descend(eligible: int, prefix: tuple, union: int, size_sum: int):
         i = len(prefix)
@@ -293,6 +282,49 @@ def glue_extend(H: Graph, task: ExtensionTask) -> dict:
     # frees the sets, rows and table now instead of at the next collection
     del descend
     return out
+
+
+def _pair_rows(H: Graph, sets: list, k: int, complete: bool):
+    """compat_row(a): the mask of the sets b that pass the pair test with
+    set a, alpha(H - (S_a | S_b)) < k-1, each row built on first use.
+
+    The test fails exactly when an independent (k-1)-set I of H misses both
+    sets, so a row is every set but those missed by an I that misses S_a.
+    Each I is found in sets when complete (sets reach order k-1), else
+    enumerated.
+    """
+    contains = [0] * H.n  # contains[w]: the sets holding w
+    for idx, s in enumerate(sets):
+        for w in bits(s):
+            contains[w] |= 1 << idx
+    every = (1 << len(sets)) - 1
+    # missed[j]: the sets disjoint from the j-th I; byte j of holds[w] is 1
+    # when that I holds vertex w, and byte j of ones is 1
+    missed = []
+    holds = [0] * H.n
+    for wide in (sets if complete else independent_sets(H, k - 1)):
+        if wide.bit_count() == k - 1:
+            byte = 1 << 8 * len(missed)
+            hit = 0
+            for w in bits(wide):
+                hit |= contains[w]
+                holds[w] |= byte
+            missed.append(every & ~hit)
+    ones = int.from_bytes(b"\x01" * len(missed), "little")
+    rows: list = [None] * len(sets)
+
+    def compat_row(a: int) -> int:
+        row = rows[a]
+        if row is None:
+            held = 0
+            for w in bits(sets[a]):
+                held |= holds[w]
+            # one byte per I, 1 when the I misses S_a
+            chosen = (ones ^ held).to_bytes(len(missed), "little")
+            row = rows[a] = every & ~reduce(or_, compress(missed, chosen), 0)
+        return row
+
+    return compat_row
 
 
 def _assemble(H: Graph, assigned) -> Graph:

@@ -452,33 +452,6 @@ def local_subgraph(g: Graph, v: int) -> Graph:
     return g.induced(keep)
 
 
-def deficiency_vertex(g: Graph, v: int, k: int, table) -> int:
-    """Slack of e(g) against the minimum forced through v's local subgraph.
-
-    ``table`` must answer ``bound_value(k-1, m)`` with the minimum edge count
-    of the (3,k-1;m) class (exact or lower bound); an infinite entry is an
-    error, never a sentinel.
-    """
-    d = g.degree(v)
-    m = g.n - d - 1
-    b = table.bound_value(k - 1, m)
-    return g.edge_count() - z_value(g, v) - b
-
-
-def deficiency_graph(g: Graph, k: int, table) -> int:
-    """Sum of vertex deficiencies; equals the degree-sequence form."""
-    return sum(deficiency_vertex(g, v, k, table) for v in range(g.n))
-
-
-def deficiency_from_histogram(n: int, e: int, hist: dict, k: int, table) -> int:
-    """Degree-sequence form: n*e - sum_i n_i * (i^2 + bound(k-1, n-i-1))."""
-    total = n * e
-    for i, ni in hist.items():
-        if ni:
-            total -= ni * (i * i + table.bound_value(k - 1, n - i - 1))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------

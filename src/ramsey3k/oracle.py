@@ -25,7 +25,6 @@ from .graphs import (
     _alpha,
     addable_edges,
     bits,
-    is_maximal_triangle_free,
     local_subgraph,
     validate_member,
     z_value,
@@ -76,22 +75,6 @@ def _attach(g: Graph, neighborhood: int) -> Graph:
     for w in bits(neighborhood):
         adj[w] |= 1 << v
     return Graph._make(g.n + 1, tuple(adj))
-
-
-def min_edge_count(n: int, k: int, probe_cap: Optional[int] = None) -> Optional[int]:
-    """Exact e(3,k,n) for oracle-sized n: smallest edge count with a member,
-    or None when the class is empty."""
-    cap = probe_cap if probe_cap is not None else max(0, (k - 1) * n // 2)
-    store = brute_force_graphs(n, k, cap)
-    if not store:
-        return None
-    return min(g.edge_count() for g in store.values())
-
-
-def naive_mtf_set(n: int, k: int) -> dict:
-    """All maximal triangle-free (3,k;n)-graphs, by filtering the oracle."""
-    store = brute_force_graphs(n, k, None)
-    return {f: g for f, g in store.items() if is_maximal_triangle_free(g)}
 
 
 def verify_minimality(g: Graph, k: int) -> bool:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ramsey3k.degseq import ClosurePlan, PlanRow
-from ramsey3k.graphs import Graph
+from ramsey3k.graphs import Graph, is_maximal_triangle_free, z_value
 from ramsey3k.oracle import brute_force_graphs
 from ramsey3k.pipeline import JobManifest, run_manifest
 from ramsey3k.store import write_lines
@@ -65,6 +65,53 @@ def min_degree_store(directory, k, n, e_max, oracle=brute_force_graphs):
     JobManifest(target_k=k, n=n, e_max=e_max, inputs=inputs,
                 plan=ClosurePlan(k, n, e_max, rows)).write(manifest)
     return run_manifest(manifest, os.path.join(directory, "out.g6"), workers=1)
+
+
+# Reference forms with no caller in the package: vertex deficiencies and
+# their degree-sequence sum, the exact e(3,k,n) of oracle-sized classes,
+# and their maximal triangle-free members.
+
+def deficiency_vertex(g: Graph, v: int, k: int, table) -> int:
+    """Slack of e(g) against the minimum forced through v's local subgraph.
+
+    ``table`` must answer ``bound_value(k-1, m)`` with the minimum edge count
+    of the (3,k-1;m) class (exact or lower bound); an infinite entry is an
+    error, never a sentinel.
+    """
+    d = g.degree(v)
+    m = g.n - d - 1
+    b = table.bound_value(k - 1, m)
+    return g.edge_count() - z_value(g, v) - b
+
+
+def deficiency_graph(g: Graph, k: int, table) -> int:
+    """Sum of vertex deficiencies; equals the degree-sequence form."""
+    return sum(deficiency_vertex(g, v, k, table) for v in range(g.n))
+
+
+def deficiency_from_histogram(n: int, e: int, hist: dict, k: int, table) -> int:
+    """Degree-sequence form: n*e - sum_i n_i * (i^2 + bound(k-1, n-i-1))."""
+    total = n * e
+    for i, ni in hist.items():
+        if ni:
+            total -= ni * (i * i + table.bound_value(k - 1, n - i - 1))
+    return total
+
+
+def min_edge_count(n: int, k: int, probe_cap=None):
+    """Exact e(3,k,n) for oracle-sized n: smallest edge count with a member,
+    or None when the class is empty."""
+    cap = probe_cap if probe_cap is not None else max(0, (k - 1) * n // 2)
+    store = brute_force_graphs(n, k, cap)
+    if not store:
+        return None
+    return min(g.edge_count() for g in store.values())
+
+
+def naive_mtf_set(n: int, k: int) -> dict:
+    """All maximal triangle-free (3,k;n)-graphs, by filtering the oracle."""
+    store = brute_force_graphs(n, k, None)
+    return {f: g for f, g in store.items() if is_maximal_triangle_free(g)}
 
 
 @pytest.fixture

@@ -30,16 +30,16 @@ from ramsey3k.graphs import (
     ClassParams,
     Graph,
     circulant,
-    deficiency_from_histogram,
-    deficiency_graph,
     independence_number,
     is_triangle_free,
     validate_member,
 )
-from ramsey3k.oracle import brute_force_graphs, min_edge_count, verify_minimality
+from ramsey3k.oracle import brute_force_graphs, verify_minimality
 from ramsey3k.pipeline import Bootstrap, JobManifest
 
-from conftest import min_degree_store, random_triangle_free
+from conftest import (deficiency_from_histogram, deficiency_graph,
+                      min_degree_store, min_edge_count,
+                      random_triangle_free)
 
 
 def report(num: int, ok: bool, detail: str, elapsed: float) -> None:

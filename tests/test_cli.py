@@ -12,11 +12,10 @@ from ramsey3k.cli import main
 from ramsey3k.canon import canonical_form
 from ramsey3k.degseq import INFINITE, ClosurePlan, EdgeBoundTable, PlanRow
 from ramsey3k.graphs import Graph, encode_graph6
-from ramsey3k.oracle import naive_mtf_set
 from ramsey3k.pipeline import JobManifest, ManifestError
 from ramsey3k.store import GraphStore
 
-from conftest import cycle, path as path_graph
+from conftest import cycle, naive_mtf_set, path as path_graph
 
 
 def test_etable_stdout(capsys):
@@ -540,26 +539,49 @@ def _numpy_after(argv):
     return result.stdout, result.stderr
 
 
-def test_verify_never_loads_numpy(tmp_path):
+def _verify_argv(tmp_path):
     c5 = _c5_store(tmp_path)
     ref = str(tmp_path / "k2.g6")
     GraphStore(2, 2, lines=[canonical_form(Graph.from_edges(2, [(0, 1)]))]
                ).write(ref)
-    argv = ["verify", "--k", "3", "--store", c5, "--minimality",
+    return ["verify", "--k", "3", "--store", c5, "--minimality",
             "--gv", ref, "--add-edges", "1", c5]
-    out, err = _numpy_after(argv)
-    assert out == "0 False\n", out + err
+
+
+def _extend_argv(tmp_path):
+    # (3,4;8,<=12) glues rows of degree 2 and up: subset table, pair rows
+    from test_pipeline import oracle_manifest
+    manifest = oracle_manifest(tmp_path, 4, 8, 12)
+    assert max(d for d, _ in JobManifest.read(manifest).plan.cover()) >= 2
+    return ["extend", "--manifest", manifest, "--out",
+            str(tmp_path / "o.g6"), "--workers", "1"]
+
+
+def _closure_argv(tmp_path):
+    mtf = str(tmp_path / "mtf.g6")
+    with open(mtf, "w") as fh:
+        for g in naive_mtf_set(8, 4).values():
+            fh.write(encode_graph6(g) + "\n")
+    return ["closure", "--mtf", mtf, "--k", "4", "--out",
+            str(tmp_path / "o.g6")]
 
 
 @pytest.mark.parametrize("argv", [
-    ["etable", "--k", "12", "--n-from", "50", "--n-to", "59"],
-    ["plan", "--k", "7", "--n", "16", "--e", "23"],
-    ["plan", "--k", "12", "--n", "8", "--e", "4"],
-    ["degseq", "--k", "10", "--n", "42", "--e", "189", "--dmin", "7",
-     "--dmax", "9"],
-], ids=["etable", "plan", "plan-level-11", "degseq"])
-def test_bound_commands_never_load_numpy(argv):
-    # the degree-sequence solver is pure Python; etable --k 12 propagates
-    # level 11 and 12 through it
-    out, err = _numpy_after(argv)
+    lambda _: ["etable", "--k", "12", "--n-from", "50", "--n-to", "59"],
+    lambda _: ["plan", "--k", "7", "--n", "16", "--e", "23"],
+    lambda _: ["plan", "--k", "12", "--n", "8", "--e", "4"],
+    lambda _: ["degseq", "--k", "10", "--n", "42", "--e", "189", "--dmin",
+               "7", "--dmax", "9"],
+    _extend_argv,
+    _closure_argv,
+    lambda tmp_path: ["oracle", "--n", "8", "--k", "4", "--out",
+                      str(tmp_path / "o.g6")],
+    _verify_argv,
+    lambda tmp_path: ["count", "--store", _c5_store(tmp_path)],
+], ids=["etable", "plan", "plan-level-11", "degseq", "extend", "closure",
+        "oracle", "verify", "count"])
+def test_commands_never_load_numpy(tmp_path, argv):
+    # the package is pure Python: no command loads numpy, gluing included;
+    # etable --k 12 propagates levels 11 and 12 through the solver
+    out, err = _numpy_after(argv(tmp_path))
     assert out.splitlines()[-1:] == ["0 False"], out + err

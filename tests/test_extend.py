@@ -9,6 +9,7 @@ from ramsey3k.extend import (
     ExtensionTask,
     _assemble,
     _hub_canonical,
+    _pair_rows,
     edge_removal_closure,
     glue_extend,
 )
@@ -17,17 +18,18 @@ from ramsey3k.graphs import (
     Graph,
     MembershipError,
     find_addable_edge,
+    independence_number,
     is_maximal_triangle_free,
     local_subgraph,
     validate_member,
     z_value,
 )
 from ramsey3k.indepcache import TABLE_MAX_ORDER, independent_sets
-from ramsey3k.oracle import brute_force_graphs, naive_mtf_set
+from ramsey3k.oracle import brute_force_graphs
 from ramsey3k.pipeline import Bootstrap, JobManifest
 from ramsey3k.store import GraphStore, read_lines
 
-from conftest import (cycle, min_degree_store, path, petersen,
+from conftest import (cycle, min_degree_store, naive_mtf_set, path, petersen,
                       random_triangle_free)
 
 # prune_canonical is left out: it is neutral per store, not per host, and is
@@ -130,8 +132,8 @@ class TestPruningNeutrality:
 
     def test_multiword_set_masks(self, monkeypatch):
         # C13(1,5) minus a vertex is a (3,5;12)-member with 144 independent
-        # sets of order <= 4, so set masks span several machine words and
-        # the packed compatibility rows cross byte boundaries
+        # sets of order <= 4, so set masks and compatibility rows span
+        # several machine words
         c13 = Graph.from_edges(13, [(i, (i + j) % 13) for i in range(13)
                                     for j in (1, 5)])
         host = c13.induced((1 << 12) - 1)
@@ -139,13 +141,49 @@ class TestPruningNeutrality:
         assert len(independent_sets(host, 4)) > 64
         want = set(glue_extend(host, task))
         assert want
-        # a cap of -1 leaves the compatibility rows to branch and bound
+        # a cap of -1 leaves the union tests to branch and bound
         for table_cap in (TABLE_MAX_ORDER, -1):
             monkeypatch.setattr("ramsey3k.extend.TABLE_MAX_ORDER", table_cap)
             assert set(glue_extend(host, task)) == want
             for field in PRUNE_FIELDS:
                 off = dataclasses.replace(task, **{field: False})
                 assert set(glue_extend(host, off)) == want, (table_cap, field)
+
+    def test_pair_rows_against_brute_force(self, monkeypatch, rng):
+        # every bit of every row the descent builds is the pair test
+        # itself, alpha(H - (S_a | S_b)) < k - 1, whether the set list
+        # reaches order k - 1 or the (k-1)-sets are enumerated apart
+        built = {}
+
+        def recording(H, sets, k, complete):
+            compat_row = _pair_rows(H, sets, k, complete)
+
+            def row(a):
+                built[id(sets), a] = (H, sets, k, complete, a, compat_row(a))
+                return built[id(sets), a][-1]
+            return row
+
+        monkeypatch.setattr("ramsey3k.extend._pair_rows", recording)
+        hosts = [random_triangle_free(m, p, rng)
+                 for m in (6, 7, 8, 9) for p in (0.45, 0.7)]
+        for table_cap in (TABLE_MAX_ORDER, -1):
+            monkeypatch.setattr("ramsey3k.extend.TABLE_MAX_ORDER", table_cap)
+            built.clear()
+            for h in hosts:
+                k = independence_number(h) + 1
+                for d in (2, 3):
+                    for slack in (1, k + 2):
+                        glue_extend(h, ExtensionTask(
+                            k=k, d=d, e_max=h.edge_count() + d + slack))
+            entries = list(built.values())
+            assert {entry[3] for entry in entries} == {False, True}
+            for H, sets, k, _, a, row in entries:
+                full = (1 << H.n) - 1
+                assert row >> len(sets) == 0
+                for b, s in enumerate(sets):
+                    rest = H.induced(full & ~(sets[a] | s))
+                    assert (row >> b & 1 == 1) == \
+                        (independence_number(rest) < k - 1), (H, k, a, b)
 
 
 # the cuts a node makes on its set list before or during its scan

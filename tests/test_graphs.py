@@ -10,9 +10,6 @@ from ramsey3k.graphs import (
     MembershipError,
     circulant,
     decode_graph6,
-    deficiency_from_histogram,
-    deficiency_graph,
-    deficiency_vertex,
     encode_graph6,
     find_independent_set,
     graph6_edge_count,
@@ -24,7 +21,8 @@ from ramsey3k.graphs import (
 )
 from ramsey3k.degseq import BoundEntry, EXACT, EdgeBoundTable
 
-from conftest import cycle, path, petersen, random_triangle_free
+from conftest import (cycle, deficiency_from_histogram, deficiency_graph,
+                      deficiency_vertex, path, petersen, random_triangle_free)
 
 
 def simple_table(entries):

@@ -43,46 +43,62 @@ class TestIndependentSets:
         assert got == want
 
 
+def bit(table, r, mask):
+    """Whether the table records alpha(base[mask]) >= r."""
+    return table[r][mask >> 3] >> (mask & 7) & 1 == 1
+
+
+def saturated(table, mask):
+    """min(alpha(base[mask]), k - 1): the highest order whose bit is set."""
+    return max([0] + [r for r in range(1, len(table)) if bit(table, r, mask)])
+
+
 class TestIndependenceTable:
     def test_c5_band(self):
         t = build_independence_table(cycle(5), k=3)
-        assert t[0b00101] == 2      # {0, 2} independent
-        assert t[0b00011] == 1      # {0, 1} is an edge
-        assert t[0b11111] == 2
-        assert t[0] == 0
+        assert saturated(t, 0b00101) == 2       # {0, 2} independent
+        assert saturated(t, 0b00011) == 1       # {0, 1} is an edge
+        assert saturated(t, 0b11111) == 2
+        assert saturated(t, 0) == 0
 
     def test_edgeless_band(self):
         t = build_independence_table(Graph.empty(4), k=4)
-        assert t[0b0001] == 1
-        assert t[0b0011] == 2
-        assert t[0b0111] == 3
-        assert t[0b1111] == 3       # saturated at k - 1
+        assert saturated(t, 0b0001) == 1
+        assert saturated(t, 0b0011) == 2
+        assert saturated(t, 0b0111) == 3
+        assert saturated(t, 0b1111) == 3        # no order above k - 1
 
     def test_petersen_random_subsets(self, rng):
         pet = petersen()
         t = build_independence_table(pet, k=5)
         for _ in range(1000):
             mask = rng.randrange(1 << 10)
-            assert t[mask] == min(brute_alpha_subset(pet, mask), 4), bin(mask)
+            assert saturated(t, mask) == min(brute_alpha_subset(pet, mask), 4), \
+                bin(mask)
 
     def test_cell_semantics_random(self, rng):
         g = random_triangle_free(9, 0.3, rng)
         k = independence_number(g) + 1
         t = build_independence_table(g, k)
         for mask in range(0, 1 << 9, 7):
-            assert t[mask] == min(brute_alpha_subset(g, mask), k - 1)
+            assert saturated(t, mask) == min(brute_alpha_subset(g, mask), k - 1)
 
     def test_order_cap(self):
         with pytest.raises(CapacityError):
             build_independence_table(Graph.empty(TABLE_MAX_ORDER + 1), k=3)
 
     def test_every_subset_against_brute_force(self, rng):
-        # every cell, on triangle-free graphs of order 0..12, against the
-        # independence number of the induced subgraph saturated at k - 1
+        # every bit of every order, on triangle-free graphs of order 0..12,
+        # against the independence number of the induced subgraph
         for n in range(13):
             g = random_triangle_free(n, rng.choice([0.2, 0.4, 0.7]), rng)
             alphas = [brute_alpha_subset(g, mask) for mask in range(1 << n)]
             for k in range(max(alphas) + 1, n + 3):
                 t = build_independence_table(g, k)
-                assert type(t) is bytearray
-                assert bytes(t) == bytes(min(a, k - 1) for a in alphas), (n, k)
+                assert len(t) == k and t[0] is None
+                for r in range(1, k):
+                    assert type(t[r]) is bytes
+                    assert len(t[r]) == max(1, (1 << n) // 8)
+                    want = sum(1 << mask for mask, a in enumerate(alphas)
+                               if a >= r)
+                    assert int.from_bytes(t[r], "little") == want, (n, k, r)

@@ -14,12 +14,10 @@ from ramsey3k.oracle import (
     add_edge_closure_check,
     brute_force_graphs,
     gv_consistency_check,
-    min_edge_count,
-    naive_mtf_set,
     verify_minimality,
 )
 
-from conftest import cycle, random_triangle_free
+from conftest import cycle, min_edge_count, naive_mtf_set, random_triangle_free
 
 
 # triangle-free graphs up to isomorphism, orders 1..9
