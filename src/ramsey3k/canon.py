@@ -256,8 +256,10 @@ class IsoIndex:
         self._keys = {}   # order -> packed adjacencies of the forms
         for form in forms:
             g = decode_graph6(form)
-            keys = self._keys.setdefault(g.n, set())
-            keys.add(_leaf_key([bits(m) for m in g.adj], range(g.n)))
+            key = 0   # the identity labelling's leaf key: _key_graph inverted
+            for row in g.adj:
+                key = key << g.n | row
+            self._keys.setdefault(g.n, set()).add(key)
 
     def __contains__(self, g: Graph) -> bool:
         keys = self._keys.get(g.n)

@@ -24,7 +24,6 @@ through ``store``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import heapq
 import math
 import os
@@ -47,7 +46,14 @@ from .degseq import (
 )
 from .extend import ExtensionTask, glue_extend
 from .graphs import MAX_ORDER, Graph, decode_graph6
-from .store import GraphStore, StoreError, read_lines, read_records, write_lines
+from .store import (
+    GraphStore,
+    StoreError,
+    digest,
+    read_lines,
+    read_records,
+    write_lines,
+)
 
 # input lines per shard.  Part keys hash the task and the chunk, not this
 # size, so it never changes a store; a resumed run reuses the parts of an
@@ -280,15 +286,14 @@ def run_manifest(
 
 def _part_path(parts_dir: str, task: ExtensionTask, idx: int, chunk: list) -> str:
     """Shard ``idx``'s part file, keyed by the task and the chunk's lines."""
-    key = hashlib.sha256("\n".join([repr(task)] + chunk).encode()).hexdigest()
-    return os.path.join(parts_dir, f"d{task.d}_s{idx}_{key[:16]}.g6")
+    key = digest("\n".join([repr(task)] + chunk))
+    return os.path.join(parts_dir, f"d{task.d}_s{idx}_{key}.g6")
 
 
 def _plan_hash(plan: Optional[ClosurePlan]) -> str:
     if plan is None:
         return ""
-    text = plan.to_csv()
-    return "plan:" + hashlib.sha256(text.encode()).hexdigest()[:16]
+    return "plan:" + digest(plan.to_csv())
 
 
 # ---------------------------------------------------------------------------

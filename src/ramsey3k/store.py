@@ -12,11 +12,17 @@ all of them go through the three functions below: ``write_lines`` replaces
 a file durably (temp file, fsync, rename), so a crash at any point leaves
 either the old file or the new one; ``read_lines`` and ``read_records``
 read them back.
+
+``digest`` is the one owner of hashing: the content hash in a sidecar's
+``hash=`` line, the plan hash in its ``certificate=`` line and the key in a
+shard part's file name are each the first 16 hex digits of a sha256.  It
+takes sha256 from the interpreter's built-in module, as ``random`` takes
+sha512, so no process maps OpenSSL for three short digests; ``hashlib``
+serves only a build without that module, and the digests are the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import Counter
 from typing import Optional
@@ -24,9 +30,22 @@ from typing import Optional
 from .canon import canonical_form
 from .graphs import decode_graph6, graph6_edge_count, validate_member
 
+try:  # the built-in module: _sha2 from Python 3.12, _sha256 before it
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 
 class StoreError(ValueError):
     pass
+
+
+def digest(text: str) -> str:
+    """The first 16 hex digits of the sha256 of ``text`` in UTF-8."""
+    return _sha256(text.encode()).hexdigest()[:16]
 
 
 def write_lines(path: str, lines) -> None:
@@ -102,11 +121,8 @@ class GraphStore:
     # -- persistence ---------------------------------------------------------
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for line in self._lines:
-            h.update(line.encode())
-            h.update(b"\n")
-        return h.hexdigest()[:16]
+        """The digest of the store file's text: each line LF-terminated."""
+        return digest("".join(line + "\n" for line in self._lines))
 
     def write(self, path: str) -> None:
         write_lines(path, self._lines)

@@ -140,7 +140,7 @@ def test_user_table_leaves_the_bundled_table_alone(tmp_path, capsys, command):
     # a --table is merged into a fresh table: a later run without it prints
     # what a fresh interpreter prints
     argv = [command, "--k", "12", "--n", "8", "--e", "4"]
-    fresh, _ = _numpy_after(argv)
+    fresh, _ = _fresh_run(argv)
     table = tmp_path / "raise.csv"
     table.write_text("k,n,kind,value,provenance\n11,7,lower,1,custom\n")
     assert main(argv + ["--table", str(table)]) == 0
@@ -148,7 +148,7 @@ def test_user_table_leaves_the_bundled_table_alone(tmp_path, capsys, command):
     assert main(argv) == 0
     again = capsys.readouterr().out
     assert raised != again
-    assert again.splitlines() + ["0 False"] == fresh.splitlines()
+    assert again.splitlines() + ["0 False False"] == fresh.splitlines()
 
 
 def test_plan_without_certified_plan_exits_1(monkeypatch, capsys):
@@ -525,13 +525,15 @@ def test_closure_of_no_graphs_usage_error(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "c.g6.meta").exists()
 
 
-def _numpy_after(argv):
+def _fresh_run(argv):
     """The stdout of ``main(argv)`` in a fresh interpreter, ending in the
-    line "<exit code> <numpy imported>", and its stderr."""
+    line "<exit code> <numpy imported> <OpenSSL's hashlib imported>", and
+    its stderr."""
     code = ("import sys\n"
             "from ramsey3k.cli import main\n"
             f"code = main({argv!r})\n"
-            "print(code, 'numpy' in sys.modules)\n")
+            "print(code, 'numpy' in sys.modules,\n"
+            "      'hashlib' in sys.modules or '_hashlib' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(ramsey3k.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env,
@@ -581,7 +583,8 @@ def _closure_argv(tmp_path):
 ], ids=["etable", "plan", "plan-level-11", "degseq", "extend", "closure",
         "oracle", "verify", "count"])
 def test_commands_never_load_numpy(tmp_path, argv):
-    # the package is pure Python: no command loads numpy, gluing included;
-    # etable --k 12 propagates levels 11 and 12 through the solver
-    out, err = _numpy_after(argv(tmp_path))
-    assert out.splitlines()[-1:] == ["0 False"], out + err
+    # the package is pure Python: no command loads numpy, gluing included,
+    # nor hashlib, whose import maps OpenSSL; etable --k 12 propagates
+    # levels 11 and 12 through the solver
+    out, err = _fresh_run(argv(tmp_path))
+    assert out.splitlines()[-1:] == ["0 False False"], out + err

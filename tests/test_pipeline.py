@@ -679,3 +679,21 @@ class TestBootstrap:
             for degree, p in m.inputs)
         assert sorted(os.listdir(parts)) == keyed == current
 
+    def test_digests_on_disk_are_pinned(self, tmp_path):
+        # the part keys and the sidecar's hashes as every earlier root has
+        # them: if a digest changed, an existing root would silently re-glue
+        root = tmp_path / "bs"
+        Bootstrap(str(root)).store(4, 8, 12)
+        parts = sorted((d.name, name) for d in root.glob("*.parts")
+                       for name in os.listdir(d))
+        assert parts == [
+            ("c2_n1_e0.g6.parts", "d0_s0_f8013194aab05654.g6"),
+            ("c2_n2_e1.g6.parts", "d1_s0_a39f90c7a8759752.g6"),
+            ("c3_n4_e2.g6.parts", "d1_s0_c78207c4abe089b0.g6"),
+            ("c3_n4_e3.g6.parts", "d1_s0_cbb22ed0812f16ca.g6"),
+            ("c3_n5_e5.g6.parts", "d2_s0_ad8e7e92a083525e.g6"),
+            ("c4_n8_e12.g6.parts", "d3_s0_1bfc6fae593227d3.g6"),
+        ]
+        meta = read_lines(str(root / "c4_n8_e12.g6.meta"))
+        assert "hash=32c1565c77074421" in meta
+        assert "certificate=plan:7fbadfa691d41b4d" in meta

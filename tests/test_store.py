@@ -1,8 +1,12 @@
+import hashlib
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import ramsey3k
 from ramsey3k.canon import canonical_form
 from ramsey3k.graphs import (Graph, MembershipError, encode_graph6,
                              graph6_edge_count)
@@ -10,6 +14,7 @@ from ramsey3k.oracle import brute_force_graphs
 from ramsey3k.store import (
     GraphStore,
     StoreError,
+    digest,
     read_lines,
     read_records,
     render_count_table,
@@ -137,6 +142,39 @@ class TestGraphStore:
         bad.write(path)
         with pytest.raises(MembershipError):
             GraphStore.read(path, check=True)
+
+
+# the empty text, one line, and a census-sized store's text
+DIGEST_TEXTS = ["", "Dhc\n", "".join(f"O{i:06d}\n" for i in range(3183))]
+
+
+class TestDigest:
+    @pytest.mark.parametrize("text", DIGEST_TEXTS, ids=["empty", "line", "store"])
+    def test_is_truncated_sha256(self, text):
+        assert digest(text) == hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    def test_hashlib_fallback(self):
+        # an interpreter without the built-in module: the only run of the
+        # hashlib branch, and the digests are the same
+        code = ("import sys\n"
+                "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                "from ramsey3k.store import digest\n"
+                f"for text in {DIGEST_TEXTS!r}:\n"
+                "    print(digest(text))\n"
+                "print('hashlib' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(ramsey3k.__file__))
+        result = subprocess.run([sys.executable, "-c", code],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, timeout=60)
+        assert result.stdout.split() == [digest(t) for t in DIGEST_TEXTS] + ["True"], (
+            result.stderr)
+
+    def test_content_hash_is_the_file_digest(self, tmp_path):
+        store = filled_store()
+        path = str(tmp_path / "s.g6")
+        store.write(path)
+        assert store.content_hash() == digest(open(path).read())
+        assert GraphStore(4, 8).content_hash() == digest("")
 
 
 class TestLineFiles:
